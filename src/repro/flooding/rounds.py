@@ -49,21 +49,32 @@ draw *order* is round-batched rather than event-interleaved, so loss
 runs are reproducible against this engine, not against the event
 simulator.
 
-Dense-int oracles (a label-free :class:`~repro.graphs.csr.CSRGraph`,
-the :class:`~repro.graphs.implicit.ImplicitJDOracle`, a
-:class:`~repro.graphs.faultview.FaultView` over either) take a flat
-``bytearray``-seen fast path: ~1 byte per node of working state beyond
-the frontier lists.
+**One kernel.**  A missing schedule is an empty one, and every flood
+runs the same kernel, one pass per round: each send is checked
+against the link state at round r, each delivery against the down-set
+and link state at r + 1.  Two costs are paid only when needed.  Without
+link events or loss every neighbour but the sender gets a counted send,
+so messages come from degree sums rather than one count per send.
+Without events or loss ``alive`` is n and ``reachable`` is ``covered``,
+so the survivor :class:`~repro.graphs.faultview.FaultView` and its BFS
+are skipped.  The visited state comes from
+:func:`~repro.graphs.faultview.visited_state`: a flat ``bytearray``
+(~1 byte per node) on dense-int oracles, a set of labels otherwise.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Hashable, List, Optional
+from typing import FrozenSet, Hashable, List, Optional
 
 from repro.errors import NodeNotFoundError, SimulationError
-from repro.graphs.faultview import FaultView, component_size, id_bound
+from repro.flooding.failures import (
+    FailureSchedule,
+    _final_down_links,
+    _final_down_nodes,
+)
+from repro.graphs.faultview import FaultView, component_size, visited_state
 from repro.graphs.graph import edge_key
 from repro.graphs.oracle import NeighborOracle, oracle_has_node
 
@@ -120,7 +131,7 @@ class RoundFloodResult:
 def round_flood(
     oracle: NeighborOracle,
     source: NodeId,
-    schedule=None,
+    schedule: Optional[FailureSchedule] = None,
     loss_rate: float = 0.0,
     loss_seed: int = 0,
 ) -> RoundFloodResult:
@@ -130,7 +141,8 @@ def round_flood(
     ----------
     schedule:
         Optional :class:`~repro.flooding.failures.FailureSchedule`
-        replayed at round granularity (event times are rounds).
+        replayed at round granularity (event times are rounds); a
+        missing schedule is an empty one.
     loss_rate / loss_seed:
         Per-message Bernoulli loss, sampled seed-stably per round.
 
@@ -146,145 +158,29 @@ def round_flood(
         raise NodeNotFoundError(source)
     if not 0.0 <= loss_rate <= 1.0:
         raise SimulationError(f"loss_rate must be in [0, 1], got {loss_rate}")
-    faulty = loss_rate > 0.0 or (schedule is not None and _has_events(schedule))
-    if not faulty:
-        bound = id_bound(oracle)
-        if bound is not None:
-            return _round_flood_dense(oracle, int(source), bound)
-        return _round_flood_generic(oracle, source)
     if schedule is None:
-        from repro.flooding.failures import FailureSchedule
-
         schedule = FailureSchedule()
-    return _round_flood_faulty(oracle, source, schedule, loss_rate, loss_seed)
-
-
-def _has_events(schedule) -> bool:
-    return bool(
-        schedule.crashes
-        or schedule.link_failures
-        or schedule.recoveries
-        or schedule.link_recoveries
-    )
-
-
-def _round_flood_dense(
-    oracle: NeighborOracle, source: int, bound: int
-) -> RoundFloodResult:
-    seen = bytearray(bound)
-    seen[source] = 1
-    neighbors = oracle.neighbors
-    frontier = [source]
-    covered = 1
-    messages = oracle.degree(source)
-    rounds = 0
-    round_sizes = [1]
-    while True:
-        next_frontier = []
-        append = next_frontier.append
-        for node in frontier:
-            for neighbor in neighbors(node):
-                if not seen[neighbor]:
-                    seen[neighbor] = 1
-                    append(neighbor)
-        if not next_frontier:
-            break
-        rounds += 1
-        round_sizes.append(len(next_frontier))
-        covered += len(next_frontier)
-        # each newly covered node forwards to all neighbours but one
-        messages += sum(
-            oracle.degree(node) - 1 for node in next_frontier
-        )
-        frontier = next_frontier
-    return RoundFloodResult(
-        source=source,
-        n=oracle.num_nodes(),
-        covered=covered,
-        messages=messages,
-        rounds=rounds,
-        round_sizes=round_sizes,
-    )
-
-
-def _round_flood_generic(
-    oracle: NeighborOracle, source: NodeId
-) -> RoundFloodResult:
-    seen = {source}
-    frontier = [source]
-    covered = 1
-    messages = oracle.degree(source)
-    rounds = 0
-    round_sizes = [1]
-    while True:
-        next_frontier = []
-        for node in frontier:
-            for neighbor in oracle.neighbors(node):
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    next_frontier.append(neighbor)
-        if not next_frontier:
-            break
-        rounds += 1
-        round_sizes.append(len(next_frontier))
-        covered += len(next_frontier)
-        messages += sum(oracle.degree(node) - 1 for node in next_frontier)
-        frontier = next_frontier
-    return RoundFloodResult(
-        source=source,
-        n=oracle.num_nodes(),
-        covered=covered,
-        messages=messages,
-        rounds=rounds,
-        round_sizes=round_sizes,
-    )
-
-
-# ----------------------------------------------------------------------
-# The failure engine
-# ----------------------------------------------------------------------
-
-
-def _timeline(schedule) -> List[tuple]:
-    """Schedule events as (time, phase, kind, a, b), simulator-ordered.
-
-    Phase 0 (failures) sorts before phase 1 (recoveries) at equal
-    times — the ``FAILURE_PRIORITY < RECOVERY_PRIORITY`` tie-break, so
-    a same-instant crash+recover pair leaves the node up.
-    """
-    events = []
-    for crash in schedule.crashes:
-        events.append((crash.time, 0, "node", crash.node, None))
-    for failure in schedule.link_failures:
-        events.append((failure.time, 0, "link", failure.u, failure.v))
-    for recovery in schedule.recoveries:
-        events.append((recovery.time, 1, "node-up", recovery.node, None))
-    for restore in schedule.link_recoveries:
-        events.append((restore.time, 1, "link-up", restore.u, restore.v))
-    events.sort(key=lambda event: (event[0], event[1]))
-    return events
-
-
-def _round_flood_faulty(
-    oracle: NeighborOracle,
-    source: NodeId,
-    schedule,
-    loss_rate: float,
-    loss_seed: int,
-) -> RoundFloodResult:
-    from repro.flooding.failures import _final_down_links, _final_down_nodes
-
     if any(c.node == source and c.time <= 0 for c in schedule.crashes):
         raise SimulationError("the flood source is crashed at start")
 
-    # the survivor topology (final schedule state) prices alive/reachable
-    view = FaultView(oracle, _final_down_nodes(schedule), _final_down_links(schedule))
-    final_down = view.down_nodes
-    alive = view.num_nodes()
-    reachable = component_size(view, source) if view.has_node(source) else 0
+    events = _timeline(oracle, schedule)
+    alive: Optional[int] = None
+    reachable: Optional[int] = None
+    final_down: FrozenSet[NodeId] = frozenset()
+    if events or loss_rate > 0.0:
+        # the survivor topology (final schedule state) prices alive/reachable
+        view = FaultView(
+            oracle, _final_down_nodes(schedule), _final_down_links(schedule)
+        )
+        final_down = view.down_nodes
+        alive = view.num_nodes()
+        reachable = component_size(view, source) if view.has_node(source) else 0
 
-    events = _timeline(schedule)
-    down: set = set()
+    # seen[v] is set once v is covered, and while an uncovered v is down
+    # (``blocked``), so one probe rejects both at delivery time
+    seen = visited_state(oracle)
+    seen[source] = 1
+    blocked: set = set()
     dead_links: set = set()
     index = 0
 
@@ -294,77 +190,80 @@ def _round_flood_faulty(
             _, _, kind, a, b = events[index]
             index += 1
             if kind == "node":
-                down.add(a)
+                if not seen[a]:
+                    seen[a] = 1
+                    blocked.add(a)
             elif kind == "node-up":
-                down.discard(a)
+                if a in blocked:
+                    blocked.discard(a)
+                    seen[a] = 0
             elif kind == "link":
                 dead_links.add(edge_key(a, b))
             else:
                 dead_links.discard(edge_key(a, b))
 
-    advance(0)
     check_links = bool(schedule.link_failures or schedule.link_recoveries)
-    bound = id_bound(oracle)
-    if bound is not None:
-        seen: object = bytearray(bound)
-        seen[source] = 1  # type: ignore[index]
-        is_seen = seen.__getitem__  # type: ignore[attr-defined]
-        mark = lambda v: seen.__setitem__(v, 1)  # type: ignore[attr-defined] # noqa: E731
-    else:
-        seen = {source}
-        is_seen = seen.__contains__  # type: ignore[attr-defined]
-        mark = seen.add  # type: ignore[attr-defined]
-
+    # without link events or loss every neighbour but the sender gets a
+    # counted send, so messages follow from degree sums
+    per_message = check_links or loss_rate > 0.0
     neighbors = oracle.neighbors
-    messages = 0
-    covered = 1 if source not in final_down else 0
-    round_sizes = [covered]
-    frontier = [(source, None)]
+    degree = oracle.degree
+    messages = 0 if per_message else degree(source)
+    round_sizes = [0 if source in final_down else 1]
+    frontier = [source]
+    senders: List[Optional[NodeId]] = [None]
     now = 0
+    advance(0)
     while frontier:
-        rng = (
-            random.Random(_loss_round_seed(loss_seed, now))
-            if loss_rate > 0.0
-            else None
-        )
-        pending = []
-        for node, sender in frontier:
-            for target in neighbors(node):
-                if target == sender:
-                    continue  # first receipt suppresses the return copy
-                if check_links and edge_key(node, target) in dead_links:
-                    continue  # link already down at send time: never sent
-                messages += 1
-                if rng is not None and rng.random() < loss_rate:
-                    continue  # counted as sent, lost in flight
-                if not is_seen(target):
-                    pending.append((node, target))
-        if not pending:
-            break
+        if per_message:
+            rng = (
+                random.Random(_loss_round_seed(loss_seed, now))
+                if loss_rate > 0.0
+                else None
+            )
+            dead_at_send = set(dead_links)
+        # sends at round r see the links of r; deliveries at r + 1 see
+        # the nodes and links of r + 1
         advance(now + 1)
-        newly = []
-        survivors_covered = 0
-        for sender, target in pending:
-            if is_seen(target):
-                continue
-            if target in down:
-                continue  # receiver dead at delivery time
-            if check_links and edge_key(sender, target) in dead_links:
-                continue  # link died with the message in flight
-            mark(target)
-            newly.append((target, sender))
-            if target not in final_down:
-                survivors_covered += 1
+        next_frontier: List[NodeId] = []
+        append = next_frontier.append
+        if per_message:
+            next_senders: List[Optional[NodeId]] = []
+            for node, sender in zip(frontier, senders):
+                for target in neighbors(node):
+                    if target == sender:
+                        continue  # first receipt suppresses the return copy
+                    if check_links:
+                        key = edge_key(node, target)
+                        if key in dead_at_send:
+                            continue  # link already down at send time: never sent
+                    messages += 1
+                    if rng is not None and rng.random() < loss_rate:
+                        continue  # counted as sent, lost in flight
+                    if seen[target] or (check_links and key in dead_links):
+                        continue  # covered, down, or its link died in flight
+                    seen[target] = 1
+                    append(target)
+                    next_senders.append(node)
+            senders = next_senders
+        else:
+            for node in frontier:
+                for target in neighbors(node):
+                    if not seen[target]:
+                        seen[target] = 1
+                        append(target)
+            messages += sum(map(degree, next_frontier)) - len(next_frontier)
+        if not next_frontier:
+            break
         now += 1
-        round_sizes.append(survivors_covered)
-        covered += survivors_covered
-        frontier = newly
+        doomed = len(final_down.intersection(next_frontier)) if final_down else 0
+        round_sizes.append(len(next_frontier) - doomed)
+        frontier = next_frontier
+    covered = sum(round_sizes)
     # doomed nodes keep relaying until the end; completion counts only
     # deliveries that survive, so trim the trailing doomed-only rounds
     while len(round_sizes) > 1 and round_sizes[-1] == 0:
         round_sizes.pop()
-    if covered == 0:
-        round_sizes = [0]
     return RoundFloodResult(
         source=source,
         n=oracle.num_nodes(),
@@ -375,6 +274,31 @@ def _round_flood_faulty(
         alive=alive,
         reachable=reachable,
     )
+
+
+def _timeline(oracle: NeighborOracle, schedule: FailureSchedule) -> List[tuple]:
+    """Schedule events as (time, phase, kind, a, b), simulator-ordered.
+
+    Phase 0 (failures) sorts before phase 1 (recoveries) at equal
+    times — the ``FAILURE_PRIORITY < RECOVERY_PRIORITY`` tie-break, so
+    a same-instant crash+recover pair leaves the node up.  Node events
+    for ids the oracle does not have are dropped: they can never
+    receive, so crashing them is a no-op, as in the event simulator.
+    """
+    events = [
+        (crash.time, 0, "node", crash.node, None)
+        for crash in schedule.crashes
+        if oracle_has_node(oracle, crash.node)
+    ]
+    for failure in schedule.link_failures:
+        events.append((failure.time, 0, "link", failure.u, failure.v))
+    for recovery in schedule.recoveries:
+        if oracle_has_node(oracle, recovery.node):
+            events.append((recovery.time, 1, "node-up", recovery.node, None))
+    for restore in schedule.link_recoveries:
+        events.append((restore.time, 1, "link-up", restore.u, restore.v))
+    events.sort(key=lambda event: (event[0], event[1]))
+    return events
 
 
 def _loss_round_seed(loss_seed: int, round_index: int) -> int:

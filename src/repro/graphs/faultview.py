@@ -32,14 +32,15 @@ damaged graph, so the view deliberately does *not* forward
 
 Node ids of a dense base stay the *base's* ids (alive ids are no
 longer contiguous), so the view advertises :attr:`FaultView.id_bound`
-— the exclusive upper bound of the base id space — letting flat-array
-consumers (:func:`repro.flooding.rounds.round_flood`,
-:func:`component_size`) keep their ``bytearray`` fast paths.
+— the exclusive upper bound of the base id space — letting
+:func:`visited_state` hand flat-array consumers
+(:func:`repro.flooding.rounds.round_flood`, :func:`component_size`) a
+``bytearray`` over it.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Hashable, Iterable, Iterator, List, Optional
+from typing import Any, FrozenSet, Hashable, Iterable, Iterator, List, Optional
 
 from repro.errors import NodeNotFoundError
 from repro.graphs.graph import edge_key
@@ -57,22 +58,45 @@ def id_bound(oracle: NeighborOracle) -> Optional[int]:
     """Exclusive upper bound of the oracle's int id space, or ``None``.
 
     Returns B such that every node id lies in ``range(B)`` when the
-    backend guarantees dense int ids (``dense_labels``, an implicit JD
-    oracle, or anything advertising an ``id_bound`` attribute — e.g. a
-    :class:`FaultView` over a dense base, whose *alive* ids are a
-    subset of ``range(B)``).  ``None`` means ids are arbitrary labels
-    and flat-array fast paths must not be used.
+    backend guarantees dense int ids (``dense_labels``, or an
+    ``id_bound`` attribute — e.g. a :class:`FaultView` over a dense
+    base, whose *alive* ids are a subset of ``range(B)``).  ``None``
+    means ids are arbitrary labels and flat-array fast paths must not
+    be used.
     """
     bound = getattr(oracle, "id_bound", None)
     if bound is not None:
         return int(bound)
     if getattr(oracle, "dense_labels", False):
         return oracle.num_nodes()
-    from repro.graphs.implicit import ImplicitJDOracle
-
-    if isinstance(oracle, ImplicitJDOracle):
-        return oracle.num_nodes()
     return None
+
+
+class _SeenSet(set):
+    """A visited set that answers a ``bytearray``'s ``seen[v]`` subscripts."""
+
+    __slots__ = ()
+    __getitem__ = set.__contains__
+
+    def __setitem__(self, node: Node, flag: int) -> None:
+        if flag:
+            self.add(node)
+        else:
+            self.discard(node)
+
+
+def visited_state(oracle: NeighborOracle) -> Any:
+    """Fresh, empty visited state for one traversal of ``oracle``.
+
+    A flat ``bytearray`` over :func:`id_bound` when ids are dense ints
+    (~1 byte per node), else a set of labels.  Both take ``seen[v]``
+    reads and ``seen[v] = 1`` / ``seen[v] = 0`` writes, so traversals
+    run one loop over either.
+    """
+    bound = id_bound(oracle)
+    if bound is not None:
+        return bytearray(bound)
+    return _SeenSet()
 
 
 class FaultView:
@@ -252,9 +276,9 @@ class FaultView:
 def component_size(oracle: NeighborOracle, source: Node) -> int:
     """Size of ``source``'s connected component — the BFS witness.
 
-    Runs on any oracle; with dense int ids (see :func:`id_bound`) the
-    visited set is a flat ``bytearray``, so a million-node sweep costs
-    ~1 byte per node of working state.
+    Runs on any oracle; with dense int ids the visited state (see
+    :func:`visited_state`) is a flat ``bytearray``, so a million-node
+    sweep costs ~1 byte per node of working state.
 
     Raises
     ------
@@ -263,33 +287,19 @@ def component_size(oracle: NeighborOracle, source: Node) -> int:
     """
     if not oracle_has_node(oracle, source):
         raise NodeNotFoundError(source)
-    bound = id_bound(oracle)
     neighbors = oracle.neighbors
-    count = 1
-    if bound is not None:
-        seen = bytearray(bound)
-        seen[source] = 1
-        frontier = [source]
-        while frontier:
-            next_frontier = []
-            append = next_frontier.append
-            for node in frontier:
-                for w in neighbors(node):
-                    if not seen[w]:
-                        seen[w] = 1
-                        append(w)
-            count += len(next_frontier)
-            frontier = next_frontier
-        return count
-    seen_set = {source}
+    seen = visited_state(oracle)
+    seen[source] = 1
     frontier = [source]
+    count = 1
     while frontier:
         next_frontier = []
+        append = next_frontier.append
         for node in frontier:
             for w in neighbors(node):
-                if w not in seen_set:
-                    seen_set.add(w)
-                    next_frontier.append(w)
+                if not seen[w]:
+                    seen[w] = 1
+                    append(w)
         count += len(next_frontier)
         frontier = next_frontier
     return count

@@ -115,6 +115,11 @@ class ImplicitJDOracle:
         """Name of the construction rule."""
         return RULE_NAME
 
+    @property
+    def dense_labels(self) -> bool:
+        """Always True: node ids are the dense ints ``range(n)``."""
+        return True
+
     def _leaf_base(self) -> int:
         return self.k * self._m
 

@@ -6,6 +6,24 @@ import pytest
 
 from repro.graphs.graph import Graph
 
+#: Wall budget, in seconds, of one test's call phase.  Every test runs in
+#: well under it; one that does not is waiting out a sleep or a timeout,
+#: which should be shortened instead.
+CALL_BUDGET_S = 20.0
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_makereport(item, call):
+    """Fail a passing test whose call phase ran past ``CALL_BUDGET_S``."""
+    report = yield
+    if call.when == "call" and report.passed and call.duration > CALL_BUDGET_S:
+        report.outcome = "failed"
+        report.longrepr = (
+            f"{item.nodeid} ran {call.duration:.1f} s, over the "
+            f"{CALL_BUDGET_S:g} s call-phase budget"
+        )
+    return report
+
 
 # (n, k) pairs small enough for exhaustive connectivity checks but
 # covering every construction regime: base size, added leaves, unshared

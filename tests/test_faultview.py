@@ -16,6 +16,8 @@ never materialise a dict Graph.
 """
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.jenkins_demers import jd_feasibility
 from repro.errors import GraphError, NodeNotFoundError, SimulationError
@@ -43,6 +45,14 @@ CENSUS = [
 ]
 
 SPOT = [(4, 2), (10, 3), (22, 3), (16, 4), (26, 5)]
+
+#: Feasible (n, k) for the randomised differential suite.
+DIFFERENTIAL_PAIRS = [
+    (n, k)
+    for k in range(2, 6)
+    for n in range(2 * k, 81)
+    if jd_feasibility(n, k) is not None
+]
 
 
 def _pinned_schedules(n, k):
@@ -312,12 +322,171 @@ class TestRoundFloodUnderFailures:
             other.round_sizes,
         ) or first.covered == 50
 
+    @settings(
+        max_examples=400,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(data=st.data())
+    def test_random_schedules_match_event_simulator(self, data):
+        n, k = data.draw(st.sampled_from(DIFFERENTIAL_PAIRS), label="n,k")
+        schedule, source = data.draw(_random_schedule(n, k), label="schedule,source")
+        _assert_backends_match_event_simulator(n, k, schedule, source)
+
     def test_no_failure_schedule_same_as_no_schedule(self):
         oracle = ImplicitJDOracle(22, 3)
         plain = round_flood(oracle, 0)
         empty = round_flood(oracle, 0, schedule=FailureSchedule())
         assert plain.covered == empty.covered == 22
         assert plain.messages == empty.messages
+
+
+#: Event times: whole and half rounds, so events land both on delivery
+#: instants and between them.
+_TIMES = st.integers(min_value=0, max_value=16).map(lambda half: half / 2)
+
+
+@st.composite
+def _random_schedule(draw, n, k):
+    """A random crash/recover/link-fail/restore schedule and a source."""
+    oracle = ImplicitJDOracle(n, k)
+    edges = sorted(
+        (u, v) for u in range(n) for v in oracle.neighbors(u) if u < v
+    )
+    node = st.integers(min_value=0, max_value=n - 1)
+    source = draw(node, label="source")
+    schedule = FailureSchedule()
+    for kind, v, time in draw(
+        st.lists(st.tuples(st.booleans(), node, _TIMES), max_size=6),
+        label="node events",
+    ):
+        if kind:
+            if v != source or time > 0:  # a source dead at start is rejected
+                schedule.crash(v, time=time)
+        else:
+            schedule.recover(v, time=time)
+    for kind, (u, v), time in draw(
+        st.lists(st.tuples(st.booleans(), st.sampled_from(edges), _TIMES), max_size=6),
+        label="link events",
+    ):
+        if kind:
+            schedule.fail_link(u, v, time=time)
+        else:
+            schedule.restore_link(u, v, time=time)
+    return schedule, source
+
+
+def _backends(n, k):
+    """LHG(n, k) behind every oracle backend round_flood runs on."""
+    oracle = ImplicitJDOracle(n, k)
+    csr = CSRGraph.from_oracle(oracle)
+    return {
+        "implicit": oracle,
+        "csr": csr,
+        "dict": materialize(oracle),
+        "faultview": FaultView(csr),
+    }
+
+
+def _assert_backends_match_event_simulator(n, k, schedule, source):
+    """round_flood on every backend equals run_flood field for field."""
+    backends = _backends(n, k)
+    event = run_flood(backends["dict"], source, failures=schedule)
+    expected = (
+        event.covered,
+        event.messages,
+        event.completion_time,
+        event.alive,
+        event.reachable,
+        event.delivery_ratio,
+    )
+    for name, backend in backends.items():
+        rounds = round_flood(backend, source, schedule=schedule)
+        got = (
+            rounds.covered,
+            rounds.messages,
+            rounds.completion_time,
+            rounds.alive,
+            rounds.reachable,
+            rounds.delivery_ratio,
+        )
+        assert got == expected, (name, n, k, source, schedule)
+
+
+def _golden_schedule(n):
+    """Crashes, a recovery, a late doomed crash and two link flaps."""
+    mid = n // 2
+    return (
+        FailureSchedule()
+        .crash(mid, time=1.0)
+        .recover(mid, time=3.0)
+        .crash(n - 1, time=2.5)
+        .fail_link(0, 1, time=0.0)
+        .restore_link(0, 1, time=2.0)
+        .fail_link(mid, 24, time=1.5)
+        .crash(5, time=0.0)
+    )
+
+
+# (covered, messages, rounds, round_sizes, alive, reachable) on LHG(40, 3)
+# from source 0, recorded before the round-flood kernels were merged.
+# The dict backend lists neighbours in another order, so its per-round
+# loss draws land on other messages.
+_LOSS_GOLDEN = {
+    "implicit": {
+        1: (40, 87, 10, [1, 2, 3, 4, 4, 4, 6, 6, 6, 3, 1], 40, 40),
+        2: (31, 69, 10, [1, 2, 4, 3, 4, 3, 2, 3, 4, 3, 2], 40, 40),
+        3: (25, 51, 16, [1, 1, 2, 4, 4, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1], 40, 40),
+    },
+    "dict": {
+        1: (40, 87, 10, [1, 2, 3, 4, 4, 4, 6, 6, 6, 3, 1], 40, 40),
+        2: (31, 69, 11, [1, 2, 4, 3, 4, 3, 2, 3, 4, 2, 2, 1], 40, 40),
+        3: (21, 43, 12, [1, 1, 2, 4, 4, 2, 1, 1, 1, 1, 1, 1, 1], 40, 40),
+    },
+}
+_LOSS_GOLDEN["csr"] = _LOSS_GOLDEN["faultview"] = _LOSS_GOLDEN["implicit"]
+_MIXED_GOLDEN = (38, 82, 9, [1, 2, 5, 8, 8, 4, 4, 4, 1, 1], 38, 38)
+_MIXED_LOSS_GOLDEN = {
+    "implicit": (20, 46, 10, [1, 2, 1, 2, 3, 3, 3, 1, 1, 2, 1], 38, 38),
+    "dict": (26, 57, 14, [1, 2, 1, 2, 2, 2, 4, 2, 1, 2, 2, 1, 1, 2, 1], 38, 38),
+}
+_MIXED_LOSS_GOLDEN["csr"] = _MIXED_LOSS_GOLDEN["faultview"] = _MIXED_LOSS_GOLDEN["implicit"]
+
+
+def _fields(result):
+    return (
+        result.covered,
+        result.messages,
+        result.rounds,
+        result.round_sizes,
+        result.alive,
+        result.reachable,
+    )
+
+
+class TestRoundFloodGolden:
+    """Recorded outputs: loss draw order and schedule replay stay fixed."""
+
+    @pytest.mark.parametrize("backend", ["implicit", "csr", "dict", "faultview"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_loss_run_matches_record(self, backend, seed):
+        oracle = _backends(40, 3)[backend]
+        result = round_flood(oracle, 0, loss_rate=0.3, loss_seed=seed)
+        assert _fields(result) == _LOSS_GOLDEN[backend][seed]
+
+    @pytest.mark.parametrize("backend", ["implicit", "csr", "dict", "faultview"])
+    def test_mixed_schedule_matches_record(self, backend):
+        oracle = _backends(40, 3)[backend]
+        result = round_flood(oracle, 0, schedule=_golden_schedule(40))
+        assert _fields(result) == _MIXED_GOLDEN
+
+    @pytest.mark.parametrize("backend", ["implicit", "csr", "dict", "faultview"])
+    def test_mixed_schedule_under_loss_matches_record(self, backend):
+        oracle = _backends(40, 3)[backend]
+        result = round_flood(
+            oracle, 0, schedule=_golden_schedule(40), loss_rate=0.2, loss_seed=5
+        )
+        assert _fields(result) == _MIXED_LOSS_GOLDEN[backend]
 
 
 class TestTargetedAttacks:

@@ -276,10 +276,10 @@ class TestCampaignUnderInjection:
         supervised = campaign.run(
             workers=3,
             supervisor=SupervisorConfig(
-                timeout=5.0,
+                timeout=0.5,
                 retries=10,
                 backoff_base=0.01,
-                fault_hook=CrashInjector(rate=0.2, seed=5),
+                fault_hook=CrashInjector(rate=0.2, seed=5, hang_seconds=2.0),
             ),
         )
         assert supervised.render() == baseline

@@ -97,7 +97,8 @@ class TestPassivity:
                 supervisor=SupervisorConfig(
                     retries=3,
                     seed=7,
-                    fault_hook=CrashInjector(rate=0.3, seed=11),
+                    # a short hang keeps the sleep-then-raise path, fast
+                    fault_hook=CrashInjector(rate=0.3, seed=11, hang_seconds=0.05),
                 ),
             )
             values = pool.map(lambda x: x * x, list(range(12)))
@@ -181,8 +182,8 @@ class TestDeterministicOrdering:
                 supervisor=SupervisorConfig(
                     retries=4,
                     seed=3,
-                    timeout=10.0,
-                    fault_hook=CrashInjector(rate=0.35, seed=5),
+                    timeout=0.5,
+                    fault_hook=CrashInjector(rate=0.35, seed=5, hang_seconds=2.0),
                 ),
             )
             def cell(x):
@@ -207,8 +208,8 @@ class TestLifecycleEvents:
             supervisor=SupervisorConfig(
                 retries=3,
                 seed=7,
-                timeout=10.0,
-                fault_hook=CrashInjector(rate=0.3, seed=11),
+                timeout=0.5,
+                fault_hook=CrashInjector(rate=0.3, seed=11, hang_seconds=2.0),
             ),
         )
         pool.map(lambda x: x, list(range(12)))
