@@ -8,9 +8,10 @@ fraction of attempts (0% / 10% / 20% / 40%), and measures two things:
   many workers were killed, hung past their timeout or crashed mid-cell
   — must be *byte-identical* to the fault-free serial matrix, with no
   quarantined cells.  Asserted unconditionally.
-* **Cost**: the supervision overhead at zero fault rate (supervised vs
-  bare pool) and the recovery wall-time curve as the injection rate
-  climbs, written to ``results/BENCH_faulttolerance.json`` together
+* **Cost**: the supervision overhead at zero fault rate (4 supervised
+  workers vs the default serial run) and the recovery wall-time curve
+  as the injection rate climbs, written to
+  ``results/BENCH_faulttolerance.json`` together
   with retry/timeout/worker-death counters and a checkpoint-resume
   probe (journal half the grid, resume, compare).
 
@@ -64,7 +65,7 @@ def test_f14_fault_tolerance(benchmark, report, tmp_path):
     GRAPH_CACHE.clear()
 
     baseline_campaign = _campaign()
-    baseline = baseline_campaign.run()  # fault-free, unsupervised, serial
+    baseline = baseline_campaign.run()  # fault-free, default policy, serial
     assert baseline.all_green, baseline.violations
     rendered = baseline.render()
     cells = len(baseline.cells)

@@ -90,12 +90,13 @@ def run_sweep(
         skipped and merged back in grid order, byte-identical to an
         uninterrupted sweep.
     timeout / retries:
-        Supervised execution: per-point wall-clock budget (the worker is
-        SIGKILLed when exceeded) and bounded retries with deterministic
-        backoff.  Analysis grids must be complete to be meaningful, so a
-        point that exhausts its retries raises
-        :class:`~repro.errors.ExecutionError` (carrying the remote
-        traceback) rather than being quarantined.
+        Per-point wall-clock budget (the worker is SIGKILLed when
+        exceeded) and bounded retries with deterministic backoff.
+        Analysis grids must be complete to be meaningful, so a point
+        that fails for good is never quarantined: when ``measure``
+        raised, its own exception is re-raised with the remote
+        traceback attached; a timeout or a dead worker raises
+        :class:`~repro.errors.ExecutionError`.
 
     Examples
     --------
@@ -111,67 +112,24 @@ def run_sweep(
             continue
         points.append(params)
 
-    from repro.exec.checkpoint import (
-        checkpoint_key,
-        open_journal,
-        pack_pickle,
-        unpack_pickle,
-    )
-    from repro.exec.pool import WorkerPool
-    from repro.exec.supervisor import SupervisorConfig
-
-    labels = [repr(params) for params in points]
-    keys = [
-        checkpoint_key("sweep-point", *sorted(params.items()))
-        for params in points
-    ]
-    journal = open_journal(checkpoint, resume)
-    done: Dict[int, Dict[str, Any]] = {}
-    if journal is not None:
-        for position, key in enumerate(keys):
-            payload = journal.get(key)
-            if payload is not None:
-                done[position] = unpack_pickle(payload)
-    todo = [i for i in range(len(points)) if i not in done]
-
-    supervised = journal is not None or timeout is not None or retries is not None
-    config = None
-    if supervised:
-
-        def journal_result(position: int, record: Dict[str, Any]) -> None:
-            if journal is not None:
-                journal.record(
-                    keys[todo[position]],
-                    pack_pickle(record),
-                    label=labels[todo[position]],
-                )
-
-        config = SupervisorConfig(
-            timeout=timeout,
-            retries=2 if retries is None else retries,
-            failure_mode="raise",
-            on_result=journal_result if journal is not None else None,
-        )
-
     from repro import obs
+    from repro.exec.checkpoint import checkpoint_key, resume_map
 
-    pool = WorkerPool(workers=workers, supervisor=config)
-    try:
-        with obs.span(
-            "sweep", points=len(points), resumed=len(done)
-        ):
-            records = pool.map(
-                lambda params: measure(**params),
-                [points[i] for i in todo],
-                labels=[labels[i] for i in todo],
-            )
-    finally:
-        if journal is not None:
-            journal.close()
+    with obs.span("sweep", points=len(points)) as sweep_span:
+        records, _, resumed = resume_map(
+            lambda params: measure(**params),
+            points,
+            [repr(params) for params in points],
+            lambda i: checkpoint_key("sweep-point", *sorted(points[i].items())),
+            workers=workers,
+            checkpoint=checkpoint,
+            resume=resume,
+            timeout=timeout,
+            retries=retries,
+        )
+        sweep_span.set(resumed=resumed)
     result = SweepResult()
-    fresh = iter(records)
-    for position, params in enumerate(points):
-        record = done[position] if position in done else next(fresh)
+    for params, record in zip(points, records):
         result.add(params, record)
     return result
 

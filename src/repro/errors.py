@@ -83,8 +83,10 @@ class CertificateError(ConstructionError):
 class ExecutionError(ReproError):
     """The execution engine could not complete a map.
 
-    Raised by the supervised executor when an item exhausts its retries
-    under ``failure_mode="raise"``.  The structured
+    Raised by the executor when an item exhausts its retries under
+    ``failure_mode="raise"`` and no Python exception of the cell's own
+    stands behind the failure: a timeout, a worker death, or a result
+    or exception that would not pickle.  The structured
     :class:`~repro.exec.supervisor.ItemFailure` record is attached as
     :attr:`failure` (``None`` for engine-level failures without a
     single offending item).

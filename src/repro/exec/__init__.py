@@ -6,18 +6,21 @@ over a parameter grid.  This package gives those maps four things:
 
 * :class:`~repro.exec.pool.WorkerPool` — a process-pool executor whose
   results are byte-identical to the serial loop (items carry their own
-  derived seeds; results are collected positionally);
-* :mod:`~repro.exec.supervisor` — fault tolerance around the pool:
-  per-item wall-clock timeouts, worker-death detection, bounded retries
-  with deterministic backoff, poison-item quarantine
-  (:class:`~repro.exec.supervisor.ItemFailure`) and graceful degradation
-  to serial, configured via
+  derived seeds; results land in their item's slot);
+* :mod:`~repro.exec.supervisor` — the one engine every map runs on:
+  forked workers watched by the parent, so a dead or hung worker is
+  detected instead of hanging the map, plus per-item wall-clock
+  timeouts, bounded retries with deterministic backoff, poison-item
+  quarantine (:class:`~repro.exec.supervisor.ItemFailure`) and graceful
+  degradation to serial, configured via
   :class:`~repro.exec.supervisor.SupervisorConfig`;
 * :class:`~repro.exec.checkpoint.CheckpointJournal` — an append-only
   JSONL journal of completed cells keyed by stable SHA-256
   :func:`~repro.exec.checkpoint.checkpoint_key` hashes, so interrupted
-  campaigns and sweeps resume (``checkpoint=`` / ``resume=True``) with
-  results byte-identical to an uninterrupted run;
+  campaigns, sweeps and experiment batches resume (``checkpoint=`` /
+  ``resume=True``, all through
+  :func:`~repro.exec.checkpoint.resume_map`) with results
+  byte-identical to an uninterrupted run;
 * :class:`~repro.exec.cache.GraphCache` / :data:`~repro.exec.cache.GRAPH_CACHE`
   — keyed memoization of LHG constructions ``(n, k, rule) → (graph,
   certificate)`` so a grid builds each topology once, not once per cell;

@@ -25,10 +25,11 @@ maps) ride through :func:`pack_pickle` / :func:`unpack_pickle`, which
 wrap a base64 pickle in a JSON object; campaign cells use an explicit
 JSON codec instead so journals stay human-inspectable.
 
-``ChaosCampaign.run``, ``repeat_runs`` and ``run_sweep`` all accept
-``checkpoint=`` (a journal path) and ``resume=True``; the CLI exposes
-them as ``--checkpoint`` / ``--resume`` on the chaos and diameter
-subcommands.
+``ChaosCampaign.run``, ``run_experiments`` / ``repeat_runs`` and
+``run_sweep`` all accept ``checkpoint=`` (a journal path) and
+``resume=True`` and share one implementation, :func:`resume_map`; the
+CLI exposes them as ``--checkpoint`` / ``--resume`` on the chaos and
+diameter subcommands.
 """
 
 from __future__ import annotations
@@ -38,11 +39,25 @@ import hashlib
 import json
 import os
 import pickle
+from dataclasses import replace
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import repro.obs as obs
+from repro.exec.pool import WorkerPool
+from repro.exec.profiling import ExecutionReport
 from repro.exec.seeding import seed_key
+from repro.exec.supervisor import SupervisorConfig
 
 
 def checkpoint_key(*parts: Any) -> str:
@@ -210,3 +225,74 @@ def open_journal(
             f"pass resume=True to continue it or remove it to start over"
         )
     return journal
+
+
+def resume_map(
+    fn: Callable[[Any], Any],
+    items: Sequence[Any],
+    labels: Sequence[str],
+    key: Callable[[int], str],
+    workers: Optional[int] = None,
+    checkpoint: Optional[Union[str, Path, CheckpointJournal]] = None,
+    resume: bool = False,
+    timeout: Optional[float] = None,
+    retries: Optional[int] = None,
+    failure_mode: str = "raise",
+    supervisor: Optional[SupervisorConfig] = None,
+    cache: Any = None,
+    encode: Callable[[Any], Any] = pack_pickle,
+    decode: Callable[[Any], Any] = unpack_pickle,
+) -> Tuple[List[Any], ExecutionReport, int]:
+    """Map ``fn`` over ``items`` with journaling and resume.
+
+    Returns ``(values, report, resumed)``: every item's value in item
+    order, the execution report of the map over the items the journal
+    did not hold, and how many items came from the journal.
+
+    ``key(i)`` is item ``i``'s :func:`checkpoint_key`; ``encode`` and
+    ``decode`` turn a value into a JSON journal payload and back.  The
+    policy is ``supervisor`` when given.  Otherwise a map with a journal,
+    a ``timeout`` or ``retries`` runs ``SupervisorConfig(timeout,
+    retries (default 2), failure_mode)``, and a map with none of them
+    runs the pool's default: no retries, abort on the first failure.
+    """
+    journal = open_journal(checkpoint, resume)
+    config = supervisor
+    if config is None and (
+        journal is not None or timeout is not None or retries is not None
+    ):
+        config = SupervisorConfig(
+            timeout=timeout,
+            retries=2 if retries is None else retries,
+            failure_mode=failure_mode,
+        )
+    done: Dict[int, Any] = {}
+    keys: List[str] = []
+    if journal is not None:
+        keys = [key(i) for i in range(len(items))]
+        for position, item_key in enumerate(keys):
+            payload = journal.get(item_key)
+            if payload is not None:
+                done[position] = decode(payload)
+    todo = [i for i in range(len(items)) if i not in done]
+    if journal is not None and config is not None:  # a journal implies a config
+        chained = config.on_result
+
+        def record(position: int, value: Any) -> None:
+            journal.record(
+                keys[todo[position]], encode(value), label=labels[todo[position]]
+            )
+            if chained is not None:
+                chained(position, value)
+
+        config = replace(config, on_result=record)
+    pool = WorkerPool(workers=workers, cache=cache, supervisor=config)
+    try:
+        fresh = iter(
+            pool.map(fn, [items[i] for i in todo], labels=[labels[i] for i in todo])
+        )
+    finally:
+        if journal is not None:
+            journal.close()
+    values = [done[i] if i in done else next(fresh) for i in range(len(items))]
+    return values, pool.last_report, len(done)

@@ -31,10 +31,9 @@ class ExecutionReport:
     Attributes
     ----------
     mode:
-        ``"serial"`` (in-process loop), ``"fork-pool"`` (bare process
-        pool), or one of the supervised modes — ``"supervised-fork"``,
-        ``"supervised-serial"``, ``"supervised-degraded"`` (started
-        forked, finished serially after the worker-death budget ran out).
+        ``"serial"`` (in-process loop), ``"fork-pool"`` (forked
+        workers) or ``"degraded"`` (started forked, finished serially
+        after the worker-death budget ran out).
     workers:
         Worker processes actually used (1 for serial).
     requested_workers:
@@ -48,16 +47,15 @@ class ExecutionReport:
         Snapshot of cache counters at completion, when a cache was
         attached (``{"hits": ..., "misses": ..., "entries": ...}``).
     failures:
-        Quarantined items (supervised maps only): the structured
+        Quarantined items: the structured
         :class:`~repro.exec.supervisor.ItemFailure` per poison item.
     retries:
-        Retried attempts across the whole map (supervised maps only).
+        Retried attempts across the whole map.
     timeouts:
         Items whose worker was SIGKILLed for exceeding the per-item
-        wall-clock budget (supervised maps only).
+        wall-clock budget.
     worker_deaths:
-        Worker processes lost to crashes, kills or timeouts
-        (supervised maps only).
+        Worker processes lost to crashes, kills or timeouts.
     span_tree:
         Nested span timings for this map (see
         :func:`repro.obs.export.build_span_tree`) when a telemetry

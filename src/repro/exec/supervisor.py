@@ -1,10 +1,10 @@
-"""Supervised execution: a fault-tolerant layer around the fork pool.
+"""The execution engine behind every map: fork, watch, retry, quarantine.
 
-The bare :class:`~repro.exec.pool.WorkerPool` assumes its workers are
-well-behaved: a worker that crashes, hangs or gets OOM-killed stalls the
-whole map, and a single raising cell aborts the grid.  This module adds
-the supervision layer the ROADMAP's "survive the fault model we
-simulate" goal demands:
+:class:`~repro.exec.pool.WorkerPool` runs every map through
+:class:`SupervisedExecutor`.  Workers are raw ``fork`` + pipe pairs with
+length-prefixed pickle framing, watched by a ``select()`` loop in the
+parent, so a worker that crashes, hangs or gets OOM-killed is seen and
+dealt with instead of stalling the map:
 
 * **per-item wall-clock timeouts** — a cell that exceeds its budget gets
   its worker SIGKILLed and the item reassigned to a fresh worker;
@@ -19,20 +19,27 @@ simulate" goal demands:
 * **poison-item quarantine** — an item that exhausts its retries is
   recorded as a structured :class:`ItemFailure` in that result slot (and
   in the execution report) instead of aborting the map
-  (``failure_mode="quarantine"``), or raises an
-  :class:`~repro.errors.ExecutionError` carrying the remote traceback
-  (``failure_mode="raise"``);
-* **graceful degradation** — where ``fork`` is unavailable, inside a
-  worker, or once workers keep dying past the death budget, the
-  remaining items run serially in the parent with the same
-  retry/quarantine semantics (timeouts cannot be enforced in-process and
-  are inert in serial mode).
+  (``failure_mode="quarantine"``), or aborts the map
+  (``failure_mode="raise"``): a cell that raised re-raises its own
+  exception, carrying the worker-side traceback as ``remote_traceback``,
+  a :class:`RemoteTraceback` ``__cause__`` and the :class:`ItemFailure`
+  as ``.failure``; a failure with no Python exception behind it (a
+  timeout, a worker death, a result or exception that would not pickle)
+  raises :class:`~repro.errors.ExecutionError` instead;
+* **graceful degradation** — with one worker, where ``fork`` is
+  unavailable, inside a worker, or once workers keep dying past the
+  death budget, the remaining items run serially in the parent with the
+  same retry/quarantine semantics (timeouts cannot be enforced
+  in-process and are inert in serial mode).
 
-Determinism is preserved through all of it: supervised items are pure
-functions of their content, so a retried attempt reproduces the same
-value and the result list stays byte-identical to a fault-free serial
-run — the property the crash-injection self-test
-(``tests/test_supervisor.py``) pins down.
+The report names the mode that ran: ``"serial"``, ``"fork-pool"`` or
+``"degraded"`` (started forked, finished serially).
+
+Determinism is preserved through all of it: items are pure functions of
+their content, so a retried attempt reproduces the same value and the
+result list stays byte-identical to a fault-free serial run — the
+property the crash-injection self-test (``tests/test_supervisor.py``)
+pins down.
 
 Access it through ``WorkerPool(workers=..., supervisor=SupervisorConfig(...))``;
 campaigns, sweeps and the CLI thread the knobs through as ``timeout=`` /
@@ -57,12 +64,32 @@ from repro.errors import ExecutionError
 from repro.exec.seeding import derive_seed
 
 # Published just before forking; inherited by children through the
-# forked address space (same trick as repro.exec.pool).
+# forked address space, so inputs (closures, lambdas, scenario recipes)
+# never need to pickle — only results cross the pipe.
 _SUP_FN: Optional[Callable[[Any], Any]] = None
 _SUP_ITEMS: Sequence[Any] = ()
 _SUP_HOOK: Optional[Callable[["FaultContext"], None]] = None
 
+# True inside a forked worker: forbids nested forking.
+_IN_WORKER = False
+
 _HEADER = struct.Struct("!I")
+
+
+def fork_available() -> bool:
+    """Whether this platform can ``fork`` worker processes."""
+    return hasattr(os, "fork")
+
+
+class RemoteTraceback(Exception):
+    """Carrier for a worker-side traceback, attached as ``__cause__``."""
+
+    def __init__(self, tb: str) -> None:
+        super().__init__(tb)
+        self.tb = tb
+
+    def __str__(self) -> str:
+        return self.tb
 
 
 # ----------------------------------------------------------------------
@@ -146,8 +173,10 @@ class SupervisorConfig:
         Base seed for attempt seeds and backoff jitter.
     failure_mode:
         ``"quarantine"`` records an :class:`ItemFailure` in the result
-        slot and keeps mapping; ``"raise"`` aborts the map with an
-        :class:`~repro.errors.ExecutionError` on the first exhausted item.
+        slot and keeps mapping; ``"raise"`` aborts the map on the first
+        exhausted item with the cell's own exception, or an
+        :class:`~repro.errors.ExecutionError` when there is none (see
+        the module docstring).
     max_worker_deaths:
         Death budget (kills + crashes) before the executor stops forking
         and degrades to serial; defaults to ``4*workers + 2*len(items)``.
@@ -187,7 +216,7 @@ class SupervisorConfig:
 class SupervisionStats:
     """What one supervised map did beyond its results."""
 
-    mode: str = "supervised-serial"
+    mode: str = "serial"
     workers_used: int = 1
     retries: int = 0
     timeouts: int = 0
@@ -334,6 +363,12 @@ def _child_loop(task_r: int, result_w: int) -> None:
             os._exit(1)
         except BaseException as exc:  # must report, not die
             obs.capture_finish(token)  # roll back; failed attempts ship nothing
+            try:
+                pickled_exc: Optional[bytes] = pickle.dumps(exc)
+            except (KeyboardInterrupt, SystemExit):
+                os._exit(1)
+            except Exception:
+                pickled_exc = None  # the parent raises ExecutionError instead
             reply = (
                 "err",
                 index,
@@ -341,6 +376,7 @@ def _child_loop(task_r: int, result_w: int) -> None:
                 type(exc).__name__,
                 str(exc),
                 traceback.format_exc(),
+                pickled_exc,
             )
         try:
             _write_msg(result_w, reply)
@@ -360,6 +396,7 @@ def _child_loop(task_r: int, result_w: int) -> None:
                         "UnpicklableResult",
                         f"result of item {index} could not be pickled",
                         traceback.format_exc(),
+                        None,
                     ),
                 )
             except (KeyboardInterrupt, SystemExit):
@@ -438,23 +475,13 @@ class SupervisedExecutor:
         Quarantined slots hold their :class:`ItemFailure` (also listed in
         ``stats.failures``); every other slot holds the item's value.
         """
-        from repro.exec import pool as _pool
-
         if not self.items:
-            self.stats.mode = "supervised-serial"
             return [], self.stats
-        use_fork = (
-            self.workers > 1
-            and _pool.fork_available()
-            and not _pool._IN_WORKER
-        )
-        if use_fork:
-            self.stats.mode = "supervised-fork"
+        if self.workers > 1 and fork_available() and not _IN_WORKER:
+            self.stats.mode = "fork-pool"
             self.stats.workers_used = self.workers
             self._run_forked()
         else:
-            self.stats.mode = "supervised-serial"
-            self.stats.workers_used = 1
             self._run_serial()
         self.stats.timings = list(self._timings)
         # Merge per-item telemetry in submission order, never completion
@@ -493,6 +520,7 @@ class SupervisedExecutor:
             _SUP_FN, _SUP_ITEMS, _SUP_HOOK = None, (), None
 
     def _spawn(self) -> None:
+        global _IN_WORKER
         task_r, task_w = os.pipe()
         result_r, result_w = os.pipe()
         pid = os.fork()
@@ -508,9 +536,7 @@ class SupervisedExecutor:
                             os.close(fd)
                         except OSError:
                             pass
-                from repro.exec import pool as _pool
-
-                _pool._mark_worker()
+                _IN_WORKER = True  # a map inside this worker runs serially
                 _child_loop(task_r, result_w)
             finally:
                 os._exit(1)
@@ -622,13 +648,15 @@ class SupervisedExecutor:
             self._telemetry[index] = telemetry
             self._finish(index, value, seconds, succeeded=True)
         else:
-            _, index, _, error, detail, remote_tb = message
+            _, index, _, error, detail, remote_tb, pickled_exc = message
             task = worker.task
             worker.task = None
             worker.deadline = None
             if task is None or task.index != index:  # pragma: no cover
                 task = _Attempt(index, message[2], 0.0)
-            self._record_failure(task, error, detail, remote_tb)
+            self._record_failure(
+                task, error, detail, remote_tb, _unpickle_exc(pickled_exc)
+            )
 
     def _check_deadlines(self, now: float) -> None:
         for worker in list(self._workers.values()):
@@ -668,7 +696,7 @@ class SupervisedExecutor:
         self._death_budget -= 1
         if self._death_budget < 0 and not self.stats.degraded:
             self.stats.degraded = True
-            self.stats.mode = "supervised-degraded"
+            self.stats.mode = "degraded"
             obs.event(
                 "degraded",
                 src="exec",
@@ -730,7 +758,7 @@ class SupervisedExecutor:
             except Exception as exc:
                 obs.capture_finish(token)  # roll back the failed attempt
                 self._record_failure(
-                    task, type(exc).__name__, str(exc), traceback.format_exc()
+                    task, type(exc).__name__, str(exc), traceback.format_exc(), exc
                 )
                 continue
             seconds = time.perf_counter() - started
@@ -751,7 +779,12 @@ class SupervisedExecutor:
             self.config.on_result(index, value)
 
     def _record_failure(
-        self, task: _Attempt, error: str, detail: str, remote_tb: str
+        self,
+        task: _Attempt,
+        error: str,
+        detail: str,
+        remote_tb: str,
+        exc: Optional[BaseException] = None,
     ) -> None:
         attempts = task.attempt + 1
         if task.attempt < self.config.retries:
@@ -787,6 +820,11 @@ class SupervisedExecutor:
             remote_traceback=remote_tb,
         )
         if self.config.failure_mode == "raise":
+            if exc is not None:
+                exc.remote_traceback = remote_tb  # type: ignore[attr-defined]
+                exc.failure = failure  # type: ignore[attr-defined]
+                exc.__cause__ = RemoteTraceback(remote_tb)
+                raise exc
             raise ExecutionError(
                 f"item {failure.label!r} failed after {attempts} attempt(s): "
                 f"{error}: {detail}"
@@ -803,6 +841,17 @@ class SupervisedExecutor:
         )
         self.stats.failures.append(failure)
         self._finish(task.index, failure, 0.0, succeeded=False)
+
+
+def _unpickle_exc(pickled: Optional[bytes]) -> Optional[BaseException]:
+    """The worker's exception, or ``None`` when it does not round-trip."""
+    if pickled is None:
+        return None
+    try:
+        exc: BaseException = pickle.loads(pickled)
+    except Exception:  # e.g. an exception class whose __init__ needs more args
+        return None
+    return exc
 
 
 def supervised_map(

@@ -12,7 +12,7 @@ reproduced in isolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Hashable, List, Optional, Sequence, Tuple, Union
 
@@ -20,8 +20,7 @@ import repro.obs as obs
 from repro.analysis.tables import render_table
 from repro.errors import SimulationError
 from repro.exec.cache import GRAPH_CACHE, TopologySpec
-from repro.exec.checkpoint import CheckpointJournal, checkpoint_key, open_journal
-from repro.exec.pool import WorkerPool
+from repro.exec.checkpoint import CheckpointJournal, checkpoint_key, resume_map
 from repro.exec.profiling import ExecutionReport
 from repro.exec.supervisor import ItemFailure, SupervisorConfig
 from repro.flooding.experiments import summarize_run
@@ -653,20 +652,20 @@ class ChaosCampaign:
             byte-identical to an uninterrupted run.
         timeout:
             Per-cell wall-clock budget in seconds; an overdue cell's
-            worker is SIGKILLed and the cell retried (supervised mode).
+            worker is SIGKILLed and the cell retried.
         retries:
             Retry attempts per failing cell before it is quarantined as
             an :class:`~repro.exec.supervisor.ItemFailure` in
-            ``matrix.failures`` (default 2 once supervision is active).
+            ``matrix.failures`` (default 2 once any of these knobs is set).
         supervisor:
             Full :class:`~repro.exec.supervisor.SupervisorConfig` for
             callers needing every knob (fault hooks, backoff shape);
             overrides ``timeout``/``retries``.
 
-        Any of ``checkpoint``/``timeout``/``retries``/``supervisor``
-        switches execution to the supervised pool, which also survives
-        worker crashes and hangs; with none of them the bare
-        deterministic fork pool runs as before.
+        A crashed or hung worker never hangs the run.  With none of
+        ``checkpoint``/``timeout``/``retries``/``supervisor`` the first
+        failed cell (a raise or a dead worker) aborts the run; any of
+        them turns on retries and quarantine.
         """
         with obs.span(
             "campaign",
@@ -717,62 +716,31 @@ class ChaosCampaign:
             f"{name}/{scenario.name}/{spec.name}/s{seed}"
             for name, _, spec, scenario, seed in cells
         ]
-        journal = open_journal(checkpoint, resume)
-        keys = None
-        done = {}
-        if journal is not None:
-            keys = [
-                self.cell_key(name, scenario.name, spec.name, seed)
-                for name, _, spec, scenario, seed in cells
-            ]
-            for position, key in enumerate(keys):
-                payload = journal.get(key)
-                if payload is not None:
-                    done[position] = _cell_from_payload(payload)
-        todo = [i for i in range(len(cells)) if i not in done]
-        campaign_span.set(cells=len(cells), resumed=len(done))
 
-        supervised = (
-            supervisor is not None
-            or journal is not None
-            or timeout is not None
-            or retries is not None
+        def key(position: int) -> str:
+            name, _, spec, scenario, seed = cells[position]
+            return self.cell_key(name, scenario.name, spec.name, seed)
+
+        values, report, resumed = resume_map(
+            lambda cell: self.run_cell(*cell),
+            cells,
+            labels,
+            key,
+            workers=workers,
+            checkpoint=checkpoint,
+            resume=resume,
+            timeout=timeout,
+            retries=retries,
+            failure_mode="quarantine",
+            supervisor=supervisor,
+            cache=GRAPH_CACHE,
+            encode=_cell_payload,
+            decode=_cell_from_payload,
         )
-        config = None
-        if supervised:
-            config = supervisor or SupervisorConfig(
-                timeout=timeout, retries=2 if retries is None else retries
-            )
-            if journal is not None:
-                chained = config.on_result
-
-                def journal_result(position: int, value: object) -> None:
-                    if isinstance(value, CellResult):
-                        journal.record(
-                            keys[todo[position]],
-                            _cell_payload(value),
-                            label=labels[todo[position]],
-                        )
-                    if chained is not None:
-                        chained(position, value)
-
-                config = replace(config, on_result=journal_result)
-
-        pool = WorkerPool(workers=workers, cache=GRAPH_CACHE, supervisor=config)
-        try:
-            results = pool.map(
-                lambda cell: self.run_cell(*cell),
-                [cells[i] for i in todo],
-                labels=[labels[i] for i in todo],
-            )
-        finally:
-            if journal is not None:
-                journal.close()
-        self.last_report = pool.last_report
-        matrix = ResilienceMatrix(failures=list(pool.last_report.failures))
-        fresh = iter(results)
-        for position in range(len(cells)):
-            value = done[position] if position in done else next(fresh)
+        campaign_span.set(cells=len(cells), resumed=resumed)
+        self.last_report = report
+        matrix = ResilienceMatrix(failures=list(report.failures))
+        for value in values:
             if isinstance(value, CellResult):
                 matrix.add(value)
         return matrix

@@ -222,6 +222,51 @@ class TestExperimentResume:
             r.messages for r in plain.results
         ]
 
+    def test_resume_with_changed_params_recomputes(self, tmp_path):
+        # the journal of a fanout-1 gossip batch must not answer for a
+        # fanout-3 one: protocol params are part of the journal key
+        from repro.core.existence import build_lhg
+        from repro.flooding.experiments import repeat_runs, run_gossip
+
+        graph, _ = build_lhg(32, 3)
+        source = graph.nodes()[0]
+        path = tmp_path / "gossip.jsonl"
+        repeat_runs(
+            run_gossip, graph, source, None, 3, fanout=1, rounds=2,
+            checkpoint=path,
+        )
+        fresh = repeat_runs(run_gossip, graph, source, None, 3, fanout=3, rounds=8)
+        resumed = repeat_runs(
+            run_gossip, graph, source, None, 3, fanout=3, rounds=8,
+            checkpoint=path, resume=True,
+        )
+        assert [(r.covered, r.messages) for r in resumed.results] == [
+            (r.covered, r.messages) for r in fresh.results
+        ]
+
+    def test_resume_with_changed_schedule_recomputes(self, tmp_path):
+        # likewise the failure schedule: a journal of failure-free runs
+        # must not answer for runs under crashes
+        from repro.core.existence import build_lhg
+        from repro.flooding.experiments import repeat_runs, run_flood
+        from repro.flooding.failures import random_crashes
+
+        graph, _ = build_lhg(32, 3)
+        source = graph.nodes()[0]
+
+        def crashes(seed):
+            return random_crashes(graph, 2, seed=seed, protect={source})
+
+        path = tmp_path / "flood.jsonl"
+        repeat_runs(run_flood, graph, source, None, 3, checkpoint=path)
+        fresh = repeat_runs(run_flood, graph, source, crashes, 3)
+        resumed = repeat_runs(
+            run_flood, graph, source, crashes, 3, checkpoint=path, resume=True
+        )
+        assert [(r.covered, r.messages) for r in resumed.results] == [
+            (r.covered, r.messages) for r in fresh.results
+        ]
+
     def test_supervision_needs_a_registered_runner(self):
         from repro.core.existence import build_lhg
         from repro.flooding.experiments import repeat_runs

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -67,12 +70,6 @@ class TestWorkerPool:
             # single-core (or fork-less) boxes degrade to in-process
             assert pool.last_report.mode == "serial"
 
-    def test_single_core_degrades_to_serial(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        pool = WorkerPool(workers=4)
-        assert pool.map(_square, [1, 2, 3]) == [1, 4, 9]
-        assert pool.last_report.mode == "serial"
-
     def test_closures_are_mappable(self):
         # the fork-based design ships indices, not pickled callables,
         # so lambdas and closures work across the pool
@@ -123,6 +120,46 @@ class TestWorkerPool:
         assert "in boom" in exc.remote_traceback
         assert isinstance(exc.__cause__, RemoteTraceback)
         assert "in boom" in str(exc.__cause__)
+
+
+_WORKER_DEATH_SCRIPT = textwrap.dedent(
+    """
+    import os
+
+    from repro.errors import ExecutionError
+    from repro.exec import WorkerPool
+
+    def cell(x):
+        if x == 2:
+            os._exit(1)
+        return x
+
+    try:
+        WorkerPool(workers=2).map(cell, list(range(6)))
+    except ExecutionError as exc:
+        print("ERROR", exc.failure.error)
+    else:
+        print("NO ERROR")
+    """
+)
+
+
+class TestWorkerDeath:
+    @pytest.mark.skipif(not fork_available(), reason="requires fork")
+    def test_dead_worker_aborts_the_default_map(self):
+        # run in a subprocess with a timeout, so a map that hangs on the
+        # dead worker fails the test instead of stalling the suite
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        proc = subprocess.run(
+            [sys.executable, "-c", _WORKER_DEATH_SCRIPT],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=10,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["ERROR", "worker-died"]
 
 
 class TestDeriveSeed:

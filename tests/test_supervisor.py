@@ -21,6 +21,7 @@ from repro.exec import (
     FaultContext,
     InjectedFault,
     ItemFailure,
+    RemoteTraceback,
     SupervisorConfig,
     WorkerPool,
     derive_seed,
@@ -48,13 +49,24 @@ def _poison(x):
     return x * x
 
 
+class _TwoArgError(Exception):
+    """Pickles, but does not unpickle: its __init__ needs two args."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}/{b}")
+
+
+def _raise_two_arg(x):
+    raise _TwoArgError(x, "unrebuildable")
+
+
 class TestSupervisedMapPlain:
     def test_serial_supervised_matches_plain_map(self):
         items = _items(8)
         expected = [_cell(item) for item in items]
         results, stats = supervised_map(_cell, items, workers=1)
         assert results == expected
-        assert stats.mode == "supervised-serial"
+        assert stats.mode == "serial"
         assert not stats.failures
 
     @needs_fork
@@ -63,7 +75,7 @@ class TestSupervisedMapPlain:
         expected = [_cell(item) for item in items]
         results, stats = supervised_map(_cell, items, workers=3)
         assert results == expected
-        assert stats.mode == "supervised-fork"
+        assert stats.mode == "fork-pool"
         assert stats.workers_used == 3
         assert not stats.failures
 
@@ -164,7 +176,7 @@ class TestCrashInjectionSelfTest:
         )
         assert results == expected
         assert stats.degraded
-        assert stats.mode == "supervised-degraded"
+        assert stats.mode == "degraded"
         assert not stats.failures
 
     def test_injector_is_deterministic_and_parent_safe(self):
@@ -211,9 +223,46 @@ class TestQuarantineAndRetries:
         config = SupervisorConfig(
             retries=1, backoff_base=0.001, failure_mode="raise"
         )
-        with pytest.raises(ExecutionError, match="poison") as excinfo:
+        with pytest.raises(ValueError, match="poison") as excinfo:
             supervised_map(_poison, [1, 2, 3], config=config, workers=1)
         assert isinstance(excinfo.value.failure, ItemFailure)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_raise_mode_reraises_the_cells_own_exception(self, workers):
+        if workers > 1 and not fork_available():
+            pytest.skip("requires fork")
+        config = SupervisorConfig(
+            retries=2, backoff_base=0.001, failure_mode="raise"
+        )
+        with pytest.raises(ValueError, match="poison") as excinfo:
+            supervised_map(_poison, [1, 2, 3], config=config, workers=workers)
+        exc = excinfo.value
+        assert isinstance(exc.failure, ItemFailure)
+        assert exc.failure.attempts == 3
+        assert exc.failure.error == "ValueError"
+        assert "in _poison" in exc.remote_traceback
+        assert isinstance(exc.__cause__, RemoteTraceback)
+        assert "in _poison" in str(exc.__cause__)
+
+    @needs_fork
+    def test_raise_mode_timeout_is_an_execution_error(self):
+        config = SupervisorConfig(
+            timeout=0.5,
+            retries=0,
+            failure_mode="raise",
+            fault_hook=CrashInjector(rate=1.0, actions=("hang",), hang_seconds=2.0),
+        )
+        with pytest.raises(ExecutionError, match="timeout") as excinfo:
+            supervised_map(_cell, _items(2), config=config, workers=2)
+        assert excinfo.value.failure.error == "timeout"
+
+    @needs_fork
+    def test_raise_mode_exception_that_does_not_unpickle(self):
+        config = SupervisorConfig(retries=0, failure_mode="raise")
+        with pytest.raises(ExecutionError, match="_TwoArgError") as excinfo:
+            supervised_map(_raise_two_arg, [1, 2], config=config, workers=2)
+        assert excinfo.value.failure.error == "_TwoArgError"
+        assert "in _raise_two_arg" in excinfo.value.failure.remote_traceback
 
     def test_retries_zero_fails_fast(self):
         results, stats = supervised_map(
@@ -247,7 +296,7 @@ class TestPoolIntegration:
         items = _items(16)
         assert pool.map(_cell, items) == [_cell(item) for item in items]
         report = pool.last_report
-        assert report.mode == "supervised-fork"
+        assert report.mode == "fork-pool"
         assert report.worker_deaths > 0
         assert not report.failures
         assert "worker death" in report.summary()
