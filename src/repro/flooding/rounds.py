@@ -52,22 +52,30 @@ simulator.
 **One kernel.**  A missing schedule is an empty one, and every flood
 runs the same kernel, one pass per round: each send is checked
 against the link state at round r, each delivery against the down-set
-and link state at r + 1.  Two costs are paid only when needed.  Without
-link events or loss every neighbour but the sender gets a counted send,
-so messages come from degree sums rather than one count per send.
-Without events or loss ``alive`` is n and ``reachable`` is ``covered``,
-so the survivor :class:`~repro.graphs.faultview.FaultView` and its BFS
-are skipped.  The visited state comes from
+and link state at r + 1.  Down links are kept as an endpoint map (node
+→ the partners it has lost), updated as link events fire, so the link
+state is looked up once per sender row and a send is checked only
+against the losses of its own sender — no per-send edge key.  Without
+link events or loss every neighbour but the sender gets a counted
+send, so messages come from the lengths of the rows read rather than
+one count per send.  Without events or loss ``alive`` is n and
+``reachable`` is ``covered``, so the survivor
+:class:`~repro.graphs.faultview.FaultView` and its BFS are skipped;
+with them, ``reachable`` comes from that BFS, never from the flood
+itself.  The visited state comes from
 :func:`~repro.graphs.faultview.visited_state`: a flat ``bytearray``
 (~1 byte per node) on dense-int oracles, a set of labels otherwise.
+Each flood adds the rows it read to the ``rounds.rows`` counter of the
+active :mod:`repro.obs` collector, once per call.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import FrozenSet, Hashable, List, Optional
+from typing import Dict, FrozenSet, Hashable, List, Optional, Set
 
+import repro.obs as obs
 from repro.errors import NodeNotFoundError, SimulationError
 from repro.flooding.failures import (
     FailureSchedule,
@@ -75,7 +83,6 @@ from repro.flooding.failures import (
     _final_down_nodes,
 )
 from repro.graphs.faultview import FaultView, component_size, visited_state
-from repro.graphs.graph import edge_key
 from repro.graphs.oracle import NeighborOracle, oracle_has_node
 
 NodeId = Hashable
@@ -181,7 +188,8 @@ def round_flood(
     seen = visited_state(oracle)
     seen[source] = 1
     blocked: set = set()
-    dead_links: set = set()
+    # the links down now, as an endpoint map: node → partners it lost
+    cut: Dict[NodeId, Set[NodeId]] = {}
     index = 0
 
     def advance(now: float) -> None:
@@ -198,30 +206,34 @@ def round_flood(
                     blocked.discard(a)
                     seen[a] = 0
             elif kind == "link":
-                dead_links.add(edge_key(a, b))
+                cut.setdefault(a, set()).add(b)
+                cut.setdefault(b, set()).add(a)
             else:
-                dead_links.discard(edge_key(a, b))
+                cut.get(a, set()).discard(b)
+                cut.get(b, set()).discard(a)
 
-    check_links = bool(schedule.link_failures or schedule.link_recoveries)
     # without link events or loss every neighbour but the sender gets a
-    # counted send, so messages follow from degree sums
-    per_message = check_links or loss_rate > 0.0
+    # counted send, so messages follow from the row lengths read
+    per_message = bool(
+        schedule.link_failures or schedule.link_recoveries or loss_rate > 0.0
+    )
     neighbors = oracle.neighbors
-    degree = oracle.degree
-    messages = 0 if per_message else degree(source)
+    messages = 0
+    rows = entries = 0
     round_sizes = [0 if source in final_down else 1]
     frontier = [source]
     senders: List[Optional[NodeId]] = [None]
     now = 0
     advance(0)
     while frontier:
+        rows += len(frontier)
         if per_message:
             rng = (
                 random.Random(_loss_round_seed(loss_seed, now))
                 if loss_rate > 0.0
                 else None
             )
-            dead_at_send = set(dead_links)
+            cut_at_send = {u: frozenset(ws) for u, ws in cut.items()}
         # sends at round r see the links of r; deliveries at r + 1 see
         # the nodes and links of r + 1
         advance(now + 1)
@@ -230,17 +242,16 @@ def round_flood(
         if per_message:
             next_senders: List[Optional[NodeId]] = []
             for node, sender in zip(frontier, senders):
+                # links are checked only at the endpoints of failed links
+                lost_at_send = cut_at_send.get(node, ())
+                lost_now = cut.get(node, ())
                 for target in neighbors(node):
-                    if target == sender:
-                        continue  # first receipt suppresses the return copy
-                    if check_links:
-                        key = edge_key(node, target)
-                        if key in dead_at_send:
-                            continue  # link already down at send time: never sent
+                    if target == sender or target in lost_at_send:
+                        continue  # return copy, or link down at send: never sent
                     messages += 1
                     if rng is not None and rng.random() < loss_rate:
                         continue  # counted as sent, lost in flight
-                    if seen[target] or (check_links and key in dead_links):
+                    if seen[target] or target in lost_now:
                         continue  # covered, down, or its link died in flight
                     seen[target] = 1
                     append(target)
@@ -248,17 +259,22 @@ def round_flood(
             senders = next_senders
         else:
             for node in frontier:
-                for target in neighbors(node):
+                row = neighbors(node)
+                entries += len(row)
+                for target in row:
                     if not seen[target]:
                         seen[target] = 1
                         append(target)
-            messages += sum(map(degree, next_frontier)) - len(next_frontier)
         if not next_frontier:
             break
         now += 1
         doomed = len(final_down.intersection(next_frontier)) if final_down else 0
         round_sizes.append(len(next_frontier) - doomed)
         frontier = next_frontier
+    if not per_message:
+        # the source sends deg(source), every other row deg(v) − 1
+        messages = entries - (rows - 1)
+    obs.counter("rounds.rows", rows)
     covered = sum(round_sizes)
     # doomed nodes keep relaying until the end; completion counts only
     # deliveries that survive, so trim the trailing doomed-only rounds

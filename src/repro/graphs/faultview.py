@@ -8,19 +8,27 @@ away everything the scale substrate (:mod:`repro.graphs.implicit`,
 :mod:`repro.graphs.csr`) had bought.
 
 :class:`FaultView` is the O(#failures) answer: it wraps any backend —
-CSR, implicit JD oracle, dict graph, even another FaultView — with a
-node *down-set* and an undirected edge *kill-set*, and re-exposes the
-:class:`~repro.graphs.oracle.NeighborOracle` surface with the damage
-subtracted on the fly:
+CSR, implicit JD oracle, dict graph, even another FaultView — with one
+damage representation built at construction: a node *down-set*
+(mirrored as a ``bytearray`` mask when the base has dense int ids) and
+a killed-link *endpoint map* (each surviving endpoint → the partners it
+lost).  It re-exposes the :class:`~repro.graphs.oracle.NeighborOracle`
+surface with the damage subtracted on the fly:
 
-* ``neighbors(v)`` filters down neighbours and killed links from the
-  base answer (O(deg) with O(1) membership probes — the down mask is a
-  ``bytearray`` when the base has dense int ids);
-* ``num_nodes`` / ``number_of_edges`` are exact, computed once from
-  the damage at construction time;
+* ``neighbors(v)`` filters down neighbours from the base answer, and
+  killed links only when ``v`` is one of their endpoints (O(deg) with
+  O(1) membership probes);
+* ``num_nodes`` / ``number_of_edges`` are exact, computed from the
+  damage;
 * down nodes are *not* nodes of the view: ``neighbors``/``degree``
   raise :class:`~repro.errors.NodeNotFoundError` for them, exactly as
   for ids the base never had.
+
+:func:`component_size` reads the same map inline: on a view it walks
+the *base* rows directly, with a visited state that starts with the
+down nodes already marked (a copy of the mask, or a label set), and
+consults the endpoint map only at killed-link endpoints — no wrapper
+call per hop.  :meth:`FaultView.damage_frontier` reads it too.
 
 Because the view satisfies the oracle protocol, every generic
 algorithm (BFS, diameter, synchronous-round flooding) runs on it
@@ -40,8 +48,19 @@ longer contiguous), so the view advertises :attr:`FaultView.id_bound`
 
 from __future__ import annotations
 
-from typing import Any, FrozenSet, Hashable, Iterable, Iterator, List, Optional
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+)
 
+import repro.obs as obs
 from repro.errors import NodeNotFoundError
 from repro.graphs.graph import edge_key
 from repro.graphs.oracle import (
@@ -117,7 +136,7 @@ class FaultView:
         dropped from the kill-set so the edge accounting stays exact.
     """
 
-    __slots__ = ("base", "name", "down_nodes", "killed_links", "id_bound", "_mask")
+    __slots__ = ("base", "name", "down_nodes", "id_bound", "_mask", "_cut")
 
     def __init__(
         self,
@@ -132,7 +151,9 @@ class FaultView:
             v for v in down_nodes if oracle_has_node(base, v)
         )
         self.down_nodes: FrozenSet[Node] = down
-        killed = set()
+        # killed links as an endpoint map: each live endpoint → the
+        # partners it lost, so a link is checked only at its two ends
+        cut: Dict[Node, Set[Node]] = {}
         for link in killed_links:
             endpoints = tuple(link)
             if len(endpoints) != 2:
@@ -141,16 +162,24 @@ class FaultView:
             if u in down or v in down:
                 continue
             if oracle_has_edge(base, u, v):
-                killed.add(edge_key(u, v))
-        self.killed_links: FrozenSet[frozenset] = frozenset(killed)
+                cut.setdefault(u, set()).add(v)
+                cut.setdefault(v, set()).add(u)
+        self._cut = cut
         self.id_bound = id_bound(base)
         if self.id_bound is not None:
             mask = bytearray(self.id_bound)
             for v in sorted(down):
                 mask[v] = 1
-            self._mask = mask
+            self._mask: Optional[bytearray] = mask
         else:
             self._mask = None
+
+    @property
+    def killed_links(self) -> FrozenSet[frozenset]:
+        """The surviving kill-set as :func:`~repro.graphs.graph.edge_key` sets."""
+        return frozenset(
+            edge_key(u, w) for u, partners in self._cut.items() for w in partners
+        )
 
     # ------------------------------------------------------------------
     # NeighborOracle surface
@@ -182,9 +211,9 @@ class FaultView:
             out = [w for w in self.base.neighbors(node) if w not in down]
         else:
             out = list(self.base.neighbors(node))
-        if self.killed_links:
-            killed = self.killed_links
-            out = [w for w in out if edge_key(node, w) not in killed]
+        partners = self._cut.get(node)
+        if partners:
+            out = [w for w in out if w not in partners]
         return out
 
     def iter_nodes(self) -> Iterator[Node]:
@@ -208,7 +237,7 @@ class FaultView:
         """True when the surviving edge (u, v) exists."""
         if not (self.has_node(u) and self.has_node(v)):
             return False
-        if edge_key(u, v) in self.killed_links:
+        if v in self._cut.get(u, ()):
             return False
         return oracle_has_edge(self.base, u, v)
 
@@ -228,7 +257,7 @@ class FaultView:
             1 for v in down for w in self.base.neighbors(v) if w in down
         )
         removed = incident - internal // 2
-        return oracle_num_edges(self.base) - removed - len(self.killed_links)
+        return oracle_num_edges(self.base) - removed - self._killed_count()
 
     def __contains__(self, node: Node) -> bool:
         return self.has_node(node)
@@ -242,17 +271,20 @@ class FaultView:
     def __repr__(self) -> str:
         return (
             f"<FaultView base={self.name!r} n={self.num_nodes()} "
-            f"down={len(self.down_nodes)} killed={len(self.killed_links)}>"
+            f"down={len(self.down_nodes)} killed={self._killed_count()}>"
         )
 
     # ------------------------------------------------------------------
     # Damage introspection (what recertification needs)
     # ------------------------------------------------------------------
 
+    def _killed_count(self) -> int:
+        return sum(map(len, self._cut.values())) // 2
+
     @property
     def damage(self) -> int:
         """Total failure count: down nodes plus killed links."""
-        return len(self.down_nodes) + len(self.killed_links)
+        return len(self.down_nodes) + self._killed_count()
 
     def damage_frontier(self) -> List[Node]:
         """Surviving nodes adjacent to the damage, sorted by ``repr``.
@@ -261,15 +293,10 @@ class FaultView:
         recertification pass must recheck: everything farther away
         still sees exactly the pristine construction.
         """
-        frontier = set()
-        for v in self.down_nodes:
-            for w in self.base.neighbors(v):
-                if self.has_node(w):
-                    frontier.add(w)
-        for key in self.killed_links:
-            for w in key:
-                if self.has_node(w):
-                    frontier.add(w)
+        down = self.down_nodes
+        frontier = set(self._cut)  # killed-link endpoints are all alive
+        for v in down:
+            frontier.update(w for w in self.base.neighbors(v) if w not in down)
         return sorted(frontier, key=repr)
 
 
@@ -278,7 +305,13 @@ def component_size(oracle: NeighborOracle, source: Node) -> int:
 
     Runs on any oracle; with dense int ids the visited state (see
     :func:`visited_state`) is a flat ``bytearray``, so a million-node
-    sweep costs ~1 byte per node of working state.
+    sweep costs ~1 byte per node of working state.  On a
+    :class:`FaultView` the sweep reads the base rows directly: the
+    visited state starts with the down nodes marked, and killed links
+    are filtered only at their endpoints.
+
+    Each call adds one ``bfs.sweeps`` and the component size to
+    ``bfs.nodes`` in the active :mod:`repro.obs` collector.
 
     Raises
     ------
@@ -287,8 +320,17 @@ def component_size(oracle: NeighborOracle, source: Node) -> int:
     """
     if not oracle_has_node(oracle, source):
         raise NodeNotFoundError(source)
-    neighbors = oracle.neighbors
-    seen = visited_state(oracle)
+    cut: Dict[Node, Set[Node]] = {}
+    if isinstance(oracle, FaultView):
+        neighbors = oracle.base.neighbors
+        cut = oracle._cut
+        if oracle._mask is not None:
+            seen: Any = bytearray(oracle._mask)
+        else:
+            seen = _SeenSet(oracle.down_nodes)
+    else:
+        neighbors = oracle.neighbors
+        seen = visited_state(oracle)
     seen[source] = 1
     frontier = [source]
     count = 1
@@ -296,10 +338,19 @@ def component_size(oracle: NeighborOracle, source: Node) -> int:
         next_frontier = []
         append = next_frontier.append
         for node in frontier:
+            if node in cut:
+                partners = cut[node]
+                for w in neighbors(node):
+                    if not seen[w] and w not in partners:
+                        seen[w] = 1
+                        append(w)
+                continue
             for w in neighbors(node):
                 if not seen[w]:
                     seen[w] = 1
                     append(w)
         count += len(next_frontier)
         frontier = next_frontier
+    obs.counter("bfs.sweeps")
+    obs.counter("bfs.nodes", count)
     return count

@@ -29,6 +29,13 @@ compilation keeps no label table and flooding runs on flat int arrays.
 :func:`~repro.core.tree_schema.paste_copies` would have used, which is
 how the equivalence tests pin this oracle to the materialised graph.
 
+``neighbors`` is loop-free arithmetic on these closed forms.  A leaf's
+row is its parent in each of the k copies, ``range(parent, parent +
+k·m, m)``.  An interior's row is its tree parent, its leaf slots as at
+most two ranges (converted slots are the interior children ``slot +
+1``, live slots the leaves), then a host's two added leaves — the
+parent first, then slots in increasing order.
+
 Memory: O(1) per instance, O(k) per ``neighbors`` call; the graph
 itself never exists.
 """
@@ -80,6 +87,7 @@ class ImplicitJDOracle:
         "_slots",
         "_live",
         "_i_min",
+        "_leaf_base",
     )
 
     def __init__(self, n: int, k: int) -> None:
@@ -98,6 +106,7 @@ class ImplicitJDOracle:
         self._slots = k + plan.conversions * (k - 1)
         self._live = self._slots - plan.conversions
         self._i_min = max(1, _leaf_parent(plan.conversions, k))
+        self._leaf_base = k * self._m
 
     # ------------------------------------------------------------------
     # Shape accounting
@@ -119,9 +128,6 @@ class ImplicitJDOracle:
     def dense_labels(self) -> bool:
         """Always True: node ids are the dense ints ``range(n)``."""
         return True
-
-    def _leaf_base(self) -> int:
-        return self.k * self._m
 
     def _is_host(self, interior_id: int) -> bool:
         return (
@@ -151,41 +157,44 @@ class ImplicitJDOracle:
     def degree(self, node: Node) -> int:
         """Degree of ``node`` — every node has degree k except added-leaf
         hosts, which have k + 2."""
-        v = self._check(node)
-        leaf_base = self._leaf_base()
-        if v < leaf_base:
-            interior = v % self._m
-            return self.k + 2 if self._is_host(interior) else self.k
+        v = node if type(node) is int and 0 <= node < self.n else self._check(node)
+        if v < self._leaf_base and 0 <= v % self._m - self._i_min < self._pairs:
+            return self.k + 2
         return self.k
 
     def neighbors(self, node: Node) -> List[int]:
-        """Neighbours of ``node``, computed arithmetically (O(k))."""
-        v = self._check(node)
-        k, m, alpha = self.k, self._m, self._alpha
-        leaf_base = self._leaf_base()
-        if v < leaf_base:
-            copy, interior = divmod(v, m)
-            base = copy * m
-            out = []
-            if interior > 0:
-                out.append(base + _leaf_parent(interior - 1, k))
-            lo, hi = _leaf_slot_range(interior, k)
-            for slot in range(lo, hi):
-                if slot < alpha:
-                    out.append(base + slot + 1)
-                else:
-                    out.append(leaf_base + slot - alpha)
-            if self._is_host(interior):
-                first = leaf_base + self._live + 2 * (interior - self._i_min)
-                out.append(first)
-                out.append(first + 1)
-            return out
-        offset = v - leaf_base
-        if offset < self._live:
-            parent = _leaf_parent(offset + alpha, k)
+        """Neighbours of ``node``, computed arithmetically (O(k), no loop)."""
+        v = node if type(node) is int and 0 <= node < self.n else self._check(node)
+        k, m, alpha, leaf_base = self.k, self._m, self._alpha, self._leaf_base
+        if v >= leaf_base:
+            offset = v - leaf_base
+            if offset >= self._live:
+                parent = self._i_min + (offset - self._live) // 2
+            elif offset + alpha < k:
+                parent = 0
+            else:
+                parent = (offset + alpha - k) // (k - 1) + 1
+            return list(range(parent, parent + k * m, m))
+        interior = v % m
+        base = v - interior
+        out: List[int] = []
+        if interior == 0:
+            lo, hi = 0, k
         else:
-            parent = self._i_min + (offset - self._live) // 2
-        return [copy * m + parent for copy in range(k)]
+            lo = k + (interior - 1) * (k - 1)
+            hi = lo + k - 1
+            j = interior - 1
+            out.append(base if j < k else base + (j - k) // (k - 1) + 1)
+        if lo < alpha:  # converted slots: interior children slot + 1
+            out += range(base + lo + 1, base + (hi if hi < alpha else alpha) + 1)
+        if hi > alpha:  # live slots: structural leaves
+            first_live = lo - alpha if lo > alpha else 0
+            out += range(leaf_base + first_live, leaf_base + hi - alpha)
+        host = interior - self._i_min
+        if 0 <= host < self._pairs:
+            first = leaf_base + self._live + 2 * host
+            out += (first, first + 1)
+        return out
 
     def iter_nodes(self) -> Iterator[int]:
         """Nodes are the dense ints 0 … n − 1, in order."""
@@ -196,7 +205,10 @@ class ImplicitJDOracle:
     # ------------------------------------------------------------------
 
     def _check(self, node: Node) -> int:
-        if (
+        if type(node) is int:  # exact ints: the hot path
+            if 0 <= node < self.n:
+                return node
+        elif (
             isinstance(node, int)
             and node is not True
             and node is not False
@@ -258,7 +270,7 @@ class ImplicitJDOracle:
         leaf slots and added leaves map to ``("L", leaf_slot_id)``.
         """
         v = self._check(node_id)
-        leaf_base = self._leaf_base()
+        leaf_base = self._leaf_base
         if v < leaf_base:
             copy, interior = divmod(v, self._m)
             return ("T", copy, interior)
@@ -282,10 +294,10 @@ class ImplicitJDOracle:
         elif isinstance(label, tuple) and len(label) == 2 and label[0] == "L":
             _, slot = label
             if self._alpha <= slot < self._slots:
-                return self._leaf_base() + (slot - self._alpha)
+                return self._leaf_base + (slot - self._alpha)
             extra = slot - self._slots
             if 0 <= extra < 2 * self._pairs:
-                return self._leaf_base() + self._live + extra
+                return self._leaf_base + self._live + extra
         raise NodeNotFoundError(label)
 
     # ------------------------------------------------------------------

@@ -16,9 +16,10 @@ never materialise a dict Graph.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import repro.obs as obs
 from repro.core.jenkins_demers import jd_feasibility
 from repro.errors import GraphError, NodeNotFoundError, SimulationError
 from repro.flooding.experiments import run_flood
@@ -177,6 +178,101 @@ class TestComponentSize:
         view = FaultView(oracle, down_nodes=[n - 1])
         source = next(iter(view.iter_nodes()))
         assert component_size(view, source) == len(bfs_levels(view, source))
+
+
+@st.composite
+def _random_damage(draw):
+    """A feasible LHG(n ≤ 2000, k), random crashes and kills, a live source.
+
+    The kills mix real edges with kills that touch down nodes, kills of
+    non-edges (including self-pairs), repeated kills in either
+    orientation and kills of the source's own links.
+    """
+    k = draw(st.integers(min_value=2, max_value=5), label="k")
+    n = draw(st.integers(min_value=2 * k, max_value=2000), label="n")
+    assume(jd_feasibility(n, k) is not None)
+    oracle = ImplicitJDOracle(n, k)
+    node = st.integers(min_value=0, max_value=n - 1)
+    crashes = draw(st.lists(node, max_size=6), label="crashes")
+    alive = sorted(set(range(n)) - set(crashes))
+    assume(alive)
+    source = draw(st.sampled_from(alive), label="source")
+
+    def incident(u):
+        return st.sampled_from(oracle.neighbors(u)).map(lambda w: (u, w))
+
+    kinds = [node.flatmap(incident), incident(source), st.tuples(node, node)]
+    if crashes:
+        kinds.append(st.sampled_from(crashes).flatmap(incident))
+    kills = draw(st.lists(st.one_of(kinds), max_size=8), label="kills")
+    repeats = draw(
+        st.lists(st.sampled_from(kills), max_size=3) if kills else st.just([]),
+        label="repeats",
+    )
+    kills += [(v, u) for u, v in repeats]
+    return n, k, crashes, kills, source
+
+
+def _damaged_views(n, k, crashes, kills):
+    """The same damage over implicit, CSR and dict bases, and nested."""
+    oracle = ImplicitJDOracle(n, k)
+    views = {
+        name: FaultView(base, crashes, kills)
+        for name, base in (
+            ("implicit", oracle),
+            ("csr", CSRGraph.from_oracle(oracle)),
+            ("dict", materialize(oracle)),
+        )
+    }
+    half = len(crashes) // 2
+    inner = FaultView(oracle, crashes[:half], kills[::2])
+    views["nested"] = FaultView(inner, crashes[half:], kills[1::2])
+    return views
+
+
+def _changed_rows(base, survivor):
+    """Survivors whose neighbourhood differs from the base's, by ``repr``."""
+    return sorted(
+        (
+            v
+            for v in survivor.nodes()
+            if set(base.neighbors(v)) != set(survivor.neighbors(v))
+        ),
+        key=repr,
+    )
+
+
+class TestSurvivorBFSDifferential:
+    """Every view answers like its materialised survivor graph."""
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[
+            HealthCheck.too_slow,
+            HealthCheck.data_too_large,
+            HealthCheck.filter_too_much,
+        ],
+    )
+    @given(case=_random_damage())
+    def test_views_match_materialised_survivors(self, case):
+        n, k, crashes, kills, source = case
+        for name, view in _damaged_views(n, k, crashes, kills).items():
+            expected = materialize(view)
+            label = (name, n, k, crashes, kills, source)
+            assert sorted(view.nodes()) == sorted(expected.nodes()), label
+            for v in expected.nodes():
+                assert sorted(view.neighbors(v)) == sorted(
+                    expected.neighbors(v)
+                ), (label, v)
+                assert view.degree(v) == expected.degree(v), (label, v)
+            for start in sorted({source, max(expected.nodes())}):
+                assert component_size(view, start) == component_size(
+                    expected, start
+                ), (label, start)
+            assert view.damage_frontier() == _changed_rows(
+                materialize(view.base), expected
+            ), label
 
 
 class TestSurvivorsLaziness:
@@ -569,3 +665,27 @@ class TestRecertification:
         view = FaultView(star, killed_links=[("hub", 0)])
         violations = recertify_survivors(view, 2)
         assert any(v.invariant == "survivor-degree" for v in violations)
+
+
+class TestWorkCounters:
+    """Survivor BFS and flood work reaches ``repro.obs`` once per call."""
+
+    def test_isolate_plan_records_two_survivor_sweeps(self):
+        n, k = 2000, 3
+        oracle = ImplicitJDOracle(n, k)
+        plan = next(
+            p for p in targeted_cut_attacks(oracle) if p.name.startswith("isolate:")
+        )
+        schedule = plan.schedule()
+        source = plan.surviving_source(oracle)
+        collector = obs.install(obs.Collector())
+        try:
+            flood = round_flood(oracle, source, schedule=schedule)
+            assert recertify_survivors(survivors(oracle, schedule), k) == []
+        finally:
+            obs.uninstall()
+        counters = collector.metrics.snapshot()["counters"]
+        assert counters["bfs.sweeps"] == 2
+        assert counters["bfs.nodes"] == 2 * (n - 2)
+        # every covered node reads its row once, doomed relays included
+        assert counters["rounds.rows"] == flood.covered == n - 2
