@@ -1,7 +1,8 @@
 """Experiment F18 — sampling-profiler overhead and the flood-path profile.
 
-Runs repeated floods on LHG(n=1024, k=4) two ways, interleaved so both
-arms see the same thermal/frequency envelope:
+Runs repeated floods on LHG(n=1024, k=4) two ways, in back-to-back
+plain/profiled pairs (alternating which arm goes first) so both arms
+of a pair see the same thermal/frequency envelope:
 
 * **plain** — the event simulator unprofiled;
 * **profiled** — the same floods under the 100 Hz signal-backed
@@ -10,8 +11,9 @@ arms see the same thermal/frequency envelope:
 
 Measured and asserted:
 
-* **overhead** — min-of-arm profiled wall over plain wall must stay
-  under 5% (the design budget for an always-on profiler);
+* **overhead** — the median over the pairs of each pair's profiled
+  wall over plain wall, minus one, must stay under 5% (the design
+  budget for an always-on profiler);
 * **usefulness** — the profile must contain samples, non-empty
   collapsed stacks, and span attribution for the ``flood`` span.
 
@@ -19,14 +21,17 @@ The collapsed-stack profile of the flooding hot path is committed as
 ``results/PROFILE_flood.collapsed`` (loads in speedscope or
 flamegraph.pl) and the top hot frames land in ``results/
 f18_profiler.txt``.  The overhead fraction is written to
-``results/BENCH_profiler.json`` — a unitless metric, so the perf
-ledger gates it on every host.
+``results/BENCH_profiler.json`` as a single value — a unitless metric,
+so the perf ledger gates it on every host at its ±0.05 floor; the
+per-pair samples go in the payload, which the gate does not read.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import pathlib
+import statistics
 import time
 
 from repro import obs
@@ -37,7 +42,7 @@ from repro.perf import emit_bench
 
 N, K = 1024, 4
 HZ = 100.0
-REPEATS = 5
+PAIRS = 15  # interleaved plain/profiled pairs; the overhead is their median
 FLOODS_PER_ARM = 3
 OVERHEAD_BUDGET = 0.05
 
@@ -63,16 +68,36 @@ def test_f18_profiler_overhead(benchmark, report):
 
         plain_walls, profiled_walls = [], []
         profile = None
-        for _ in range(REPEATS):
+
+        def plain() -> None:
             plain_walls.append(_flood_arm(graph, source))
+
+        def profiled() -> None:
+            nonlocal profile
             profiler = SamplingProfiler(hz=HZ)
             with profiler:
                 profiled_walls.append(_flood_arm(graph, source))
-            profile = profiler.profile
+            # pool every arm's samples into one profile of the flood path
+            if profile is None:
+                profile = profiler.profile
+                return
+            for key, count in profiler.profile.samples.items():
+                profile.samples[key] = profile.samples.get(key, 0) + count
+            profile.duration += profiler.profile.duration
+
+        for pair in range(PAIRS):
+            for arm in (plain, profiled) if pair % 2 == 0 else (profiled, plain):
+                # empty the GC generations first, so a collection the
+                # previous arm's garbage set off is not timed in this one
+                gc.collect()
+                arm()
     finally:
         obs.uninstall()
 
-    overhead = min(profiled_walls) / min(plain_walls) - 1.0
+    pair_overheads = [
+        t / p - 1.0 for p, t in zip(plain_walls, profiled_walls)
+    ]
+    overhead = statistics.median(pair_overheads)
     assert overhead < OVERHEAD_BUDGET, (
         f"profiler overhead {overhead:.1%} blew the {OVERHEAD_BUDGET:.0%} "
         f"budget at {HZ:g} Hz"
@@ -103,7 +128,8 @@ def test_f18_profiler_overhead(benchmark, report):
             "topology": {"n": N, "k": K},
             "hz": HZ,
             "backend": profile.backend,
-            "repeats": REPEATS,
+            "repeats": PAIRS,
+            "pair_overhead_fractions": pair_overheads,
             "floods_per_arm": FLOODS_PER_ARM,
             "cpu_count": os.cpu_count(),
             "overhead_budget_fraction": OVERHEAD_BUDGET,
@@ -120,11 +146,12 @@ def test_f18_profiler_overhead(benchmark, report):
     lines = [
         f"F18: sampling profiler — LHG(n={N}, k={K}), {HZ:g} Hz "
         f"({profile.backend} backend), {FLOODS_PER_ARM} floods/arm",
-        f"  plain:    {min(plain_walls):.3f}s   profiled: "
-        f"{min(profiled_walls):.3f}s   overhead {overhead:+.2%} "
+        f"  plain:    {statistics.median(plain_walls):.3f}s   profiled: "
+        f"{statistics.median(profiled_walls):.3f}s (medians)   overhead "
+        f"{overhead:+.2%}, median of {PAIRS} pairs "
         f"(budget <{OVERHEAD_BUDGET:.0%})",
-        f"  profile:  {profile.sample_count} samples, {stacks} collapsed "
-        f"stacks -> results/PROFILE_flood.collapsed",
+        f"  profile:  {profile.sample_count} samples over {PAIRS} profiled "
+        f"arms, {stacks} collapsed stacks -> results/PROFILE_flood.collapsed",
         "  top-3 hot frames (self samples):",
     ]
     for frame, count in top:

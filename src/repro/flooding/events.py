@@ -1,23 +1,25 @@
 """Event queue primitives for the discrete-event simulator.
 
 A simulation is a totally ordered stream of :class:`Event` objects.
-Ordering is ``(time, priority, sequence)``: the sequence number breaks
-ties deterministically in scheduling order, which makes every run
+The heap holds ``(time, priority, sequence, event)`` tuples, so the
+ordering is that key tuple and every comparison is a float/int compare
+done in C.  The sequence number is unique per queue: it breaks ties
+deterministically in scheduling order (which makes every run
 bit-reproducible for a fixed seed — a hard requirement for the
-experiment harness.
+experiment harness) and guarantees two events are never compared.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import SchedulingError
 
 
-@dataclass(order=True)
+@dataclass
 class Event:
     """One scheduled callback.
 
@@ -33,16 +35,13 @@ class Event:
         Scheduling-order tie-breaker (assigned by the queue).
     action:
         Zero-argument callable executed when the event fires.
-    label:
-        Debug/trace tag.
     """
 
     time: float
     priority: int
     sequence: int
-    action: Callable[[], None] = field(compare=False)
-    label: str = field(compare=False, default="")
-    cancelled: bool = field(compare=False, default=False)
+    action: Callable[[], None]
+    cancelled: bool = False
 
     def cancel(self) -> None:
         """Mark the event so the queue skips it when popped."""
@@ -50,10 +49,14 @@ class Event:
 
 
 class EventQueue:
-    """A deterministic priority queue of :class:`Event` objects."""
+    """A deterministic priority queue of :class:`Event` objects.
+
+    ``len(queue)`` counts every entry still on the heap, including
+    cancelled events that have not been popped yet.
+    """
 
     def __init__(self) -> None:
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[float, int, int, Event]] = []
         self._counter = itertools.count()
 
     def __len__(self) -> int:
@@ -64,7 +67,6 @@ class EventQueue:
         time: float,
         action: Callable[[], None],
         priority: int = 0,
-        label: str = "",
     ) -> Event:
         """Schedule ``action`` at ``time``; returns the (cancellable) event.
 
@@ -75,26 +77,22 @@ class EventQueue:
         """
         if not (time >= 0):  # also rejects NaN
             raise SchedulingError(f"cannot schedule at time {time!r}")
-        event = Event(
-            time=time,
-            priority=priority,
-            sequence=next(self._counter),
-            action=action,
-            label=label,
-        )
-        heapq.heappush(self._heap, event)
+        sequence = next(self._counter)
+        event = Event(time, priority, sequence, action)
+        heapq.heappush(self._heap, (time, priority, sequence, event))
         return event
 
     def pop(self) -> Optional[Event]:
         """Return the next non-cancelled event, or ``None`` when drained."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[3]
             if not event.cancelled:
                 return event
         return None
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event without removing it."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None

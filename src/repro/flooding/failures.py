@@ -36,7 +36,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from functools import partial
+from typing import Any, Callable, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SimulationError
 from repro.flooding.network import FAILURE_PRIORITY, RECOVERY_PRIORITY, Network
@@ -163,46 +164,30 @@ def apply_schedule(
     matching the "initially dead" interpretation; time-0 recoveries are
     applied right after, so a time-0 crash+recover pair cancels out.
     """
-    for crash in schedule.crashes:
-        if crash.time <= 0:
-            network.crash_node(crash.node)
-        else:
-            simulator.schedule(
-                crash.time,
-                lambda node=crash.node: network.crash_node(node),
-                priority=FAILURE_PRIORITY,
-                label=f"crash:{crash.node!r}",
-            )
-    for failure in schedule.link_failures:
-        if failure.time <= 0:
-            network.fail_link(failure.u, failure.v)
-        else:
-            simulator.schedule(
-                failure.time,
-                lambda u=failure.u, v=failure.v: network.fail_link(u, v),
-                priority=FAILURE_PRIORITY,
-                label=f"linkfail:{failure.u!r}-{failure.v!r}",
-            )
-    for recovery in schedule.recoveries:
-        if recovery.time <= 0:
-            network.recover_node(recovery.node)
-        else:
-            simulator.schedule(
-                recovery.time,
-                lambda node=recovery.node: network.recover_node(node),
-                priority=RECOVERY_PRIORITY,
-                label=f"recover:{recovery.node!r}",
-            )
-    for restore in schedule.link_recoveries:
-        if restore.time <= 0:
-            network.restore_link(restore.u, restore.v)
-        else:
-            simulator.schedule(
-                restore.time,
-                lambda u=restore.u, v=restore.v: network.restore_link(u, v),
-                priority=RECOVERY_PRIORITY,
-                label=f"linkup:{restore.u!r}-{restore.v!r}",
-            )
+    installs: Sequence[Tuple[Sequence[Any], int, Callable[[Any], None]]] = (
+        (schedule.crashes, FAILURE_PRIORITY, lambda e: network.crash_node(e.node)),
+        (
+            schedule.link_failures,
+            FAILURE_PRIORITY,
+            lambda e: network.fail_link(e.u, e.v),
+        ),
+        (
+            schedule.recoveries,
+            RECOVERY_PRIORITY,
+            lambda e: network.recover_node(e.node),
+        ),
+        (
+            schedule.link_recoveries,
+            RECOVERY_PRIORITY,
+            lambda e: network.restore_link(e.u, e.v),
+        ),
+    )
+    for events, priority, apply in installs:
+        for event in events:
+            if event.time <= 0:
+                apply(event)
+            else:
+                simulator.schedule(event.time, partial(apply, event), priority)
 
 
 # ----------------------------------------------------------------------

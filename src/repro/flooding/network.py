@@ -358,7 +358,9 @@ class Network:
 
     def is_link_up(self, u: NodeId, v: NodeId) -> bool:
         """Whether the link (u, v) currently carries traffic."""
-        return edge_key(u, v) not in self._dead_links
+        dead = self._dead_links
+        # no edge key is built while every link is up (the common case)
+        return not dead or edge_key(u, v) not in dead
 
     @property
     def crashed_nodes(self) -> Set[NodeId]:
@@ -385,9 +387,7 @@ class Network:
         targets = start_nodes if start_nodes is not None else oracle_nodes(self.graph)
         for node in targets:
             self._apis[node] = NodeApi(self, node)
-            self.simulator.schedule(
-                0.0, self._make_start(node), label=f"start:{node!r}"
-            )
+            self.simulator.schedule(0.0, self._make_start(node))
 
     def _api(self, node: NodeId) -> NodeApi:
         api = self._apis.get(node)
@@ -467,9 +467,7 @@ class Network:
         for extra in copies:
             if extra < 0:
                 raise SimulationError(f"fault-model delay must be >= 0, got {extra}")
-            self.simulator.schedule_after(
-                delay + extra, deliver, label=f"msg:{sender!r}->{receiver!r}"
-            )
+            self.simulator.schedule_after(delay + extra, deliver)
 
     def set_timer(self, node: NodeId, delay: float, tag: Any) -> None:
         """Schedule a protocol timer at ``node``."""
@@ -478,7 +476,7 @@ class Network:
             if self.is_alive(node) and self._protocol is not None:
                 self._protocol.on_timer(node, tag, self._api(node))
 
-        self.simulator.schedule_after(delay, fire, label=f"timer:{node!r}:{tag!r}")
+        self.simulator.schedule_after(delay, fire)
 
     def mark_delivered(self, node: NodeId) -> None:
         """Record first payload delivery at ``node`` (protocols call this)."""

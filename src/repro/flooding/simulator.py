@@ -7,14 +7,17 @@ event; the engine itself knows nothing about networks or protocols, so
 it is reusable for any substrate.
 
 Determinism contract: identical schedules produce identical executions.
-All randomness lives in the callers (latency models, failure schedules)
-behind explicit seeds; the engine adds none.
+Events fire in the queue's ``(time, priority, sequence)`` heap order;
+all randomness lives in the callers (latency models, failure schedules)
+behind explicit seeds, and the engine adds none.  Each ``run`` call adds
+the events it fired to the ``simulator.events`` :mod:`repro.obs` counter.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
+import repro.obs as obs
 from repro.errors import SchedulingError, SimulationError
 from repro.flooding.events import Event, EventQueue
 
@@ -60,7 +63,6 @@ class Simulator:
         time: float,
         action: Callable[[], None],
         priority: int = 0,
-        label: str = "",
     ) -> Event:
         """Schedule an absolute-time event.
 
@@ -73,25 +75,27 @@ class Simulator:
             raise SchedulingError(
                 f"cannot schedule at {time} — the clock is already at {self._now}"
             )
-        return self._queue.push(time, action, priority=priority, label=label)
+        return self._queue.push(time, action, priority)
 
     def schedule_after(
         self,
         delay: float,
         action: Callable[[], None],
         priority: int = 0,
-        label: str = "",
     ) -> Event:
         """Schedule a relative-delay event (``delay ≥ 0``).
+
+        A non-negative delay cannot land in the past, so the event goes
+        straight onto the queue (which still rejects a NaN time).
 
         Raises
         ------
         SchedulingError
-            If ``delay`` is negative.
+            If ``delay`` is negative or NaN.
         """
         if delay < 0:
             raise SchedulingError(f"delay must be non-negative, got {delay}")
-        return self.schedule(self._now + delay, action, priority=priority, label=label)
+        return self._queue.push(self._now + delay, action, priority)
 
     def run(
         self,
@@ -140,4 +144,5 @@ class Simulator:
                 self._processed += 1
         finally:
             self._running = False
+            obs.counter("simulator.events", self._processed - processed_before)
         return self._processed - processed_before

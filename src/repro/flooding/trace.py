@@ -15,19 +15,21 @@ simulation, and tracing a run leaves its results bit-identical.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, NamedTuple, Optional
 
 NodeId = Hashable
 
+_NO_PAYLOAD: Any = object()  # tells "no payload" from an explicit None
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One observed network event.
 
-    ``kind`` is ``"send"``, ``"deliver"``, ``"drop"``, ``"crash"`` or
-    ``"link-down"``; the relevant ids sit in ``sender``/``receiver``/
-    ``node``; ``detail`` carries the drop reason or payload repr.
+class TraceEvent(NamedTuple):
+    """One observed network event (an immutable ``NamedTuple``).
+
+    ``kind`` is ``"send"``, ``"deliver"``, ``"drop"``, ``"crash"``,
+    ``"recover"``, ``"link-down"`` or ``"link-up"``; the relevant ids
+    sit in ``sender``/``receiver``/``node`` (a link event records its
+    first endpoint as ``node``); ``detail`` carries the drop reason or
+    payload repr.
     """
 
     kind: str
@@ -58,24 +60,30 @@ class TraceCollector:
         self.truncated = 0
         self.observed: "Counter[str]" = Counter()
 
-    def __call__(self, kind: str, time: float, **details: Any) -> None:
+    def __call__(
+        self,
+        kind: str,
+        time: float,
+        sender: Optional[NodeId] = None,
+        receiver: Optional[NodeId] = None,
+        node: Optional[NodeId] = None,
+        u: Optional[NodeId] = None,
+        payload: Any = _NO_PAYLOAD,
+        reason: str = "",
+        **_: Any,
+    ) -> None:
         self.observed[kind] += 1
         if len(self.events) >= self.limit:
             self.truncated += 1
             return
         detail = ""
         if kind == "drop":
-            detail = details.get("reason", "")
-        elif self.keep_payloads and "payload" in details:
-            detail = repr(details["payload"])
+            detail = reason
+        elif self.keep_payloads and payload is not _NO_PAYLOAD:
+            detail = repr(payload)
         self.events.append(
             TraceEvent(
-                kind=kind,
-                time=time,
-                sender=details.get("sender"),
-                receiver=details.get("receiver"),
-                node=details.get("node") or details.get("u"),
-                detail=detail,
+                kind, time, sender, receiver, u if node is None else node, detail
             )
         )
 

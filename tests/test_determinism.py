@@ -1,5 +1,7 @@
 """Reproducibility contract: every simulation is a function of its seeds."""
 
+import hashlib
+
 from repro.core.existence import build_lhg
 from repro.flooding.experiments import (
     run_failure_detection,
@@ -19,6 +21,7 @@ from repro.flooding.protocols.arq import ArqProtocol
 from repro.flooding.protocols.reliable import ReliableFloodProtocol
 from repro.flooding.simulator import Simulator
 from repro.flooding.trace import TraceCollector
+from repro.robustness import ChaosCampaign
 
 
 def identical_results(a, b) -> bool:
@@ -112,6 +115,72 @@ class TestTraceDeterminism:
 
     def test_chaotic_trace_seed_sensitive(self):
         assert chaotic_trace(1) != chaotic_trace(2)
+
+
+def trace_digest(events: list) -> str:
+    """SHA-256 of a trace's field tuples — stable across record types."""
+    fields = [
+        (e.kind, e.time, e.sender, e.receiver, e.node, e.detail) for e in events
+    ]
+    return hashlib.sha256(repr(fields).encode("utf-8")).hexdigest()
+
+
+# Recorded on the engine with the dataclass-ordered event heap, before
+# the tuple-keyed one: an engine change that reorders, adds or drops
+# one event changes these.
+GOLDEN_TRACES = {
+    1: (1664, "cdc085c1543e5e1b9b7b6975e9c51d27841e1adcfcb6543b35420d37d21ccdeb"),
+    2: (1618, "4d3a4982437e637d2391973dbe236a658b3ca776c2e99dcdd7d6a657d0b97460"),
+    3: (1668, "34a8ae4aef65fd3ad75aee7411df7ab8b9e9dcfc2fb10fde9f6f3a19cc4f9639"),
+}
+
+# (scenario, protocol, seed, covered, reachable, messages,
+#  retransmissions, completion_time, violations) of the default
+# campaign grid on LHG(64, 4), seed 1, recorded on the same engine.
+GOLDEN_CAMPAIGN = [
+    ("baseline", "reliable-flood", 1, 64, 64, 402, 0, 5.0, ()),
+    ("baseline", "arq-reliable-flood", 1, 64, 64, 804, 0, 5.0, ()),
+    ("loss-0.1", "reliable-flood", 1, 64, 64, 479, 51, 5.0, ()),
+    ("loss-0.1", "arq-reliable-flood", 1, 64, 64, 1126, 107, 6.0, ()),
+    ("loss-0.3", "reliable-flood", 1, 64, 64, 677, 198, 10.0, ()),
+    ("loss-0.3", "arq-reliable-flood", 1, 64, 64, 2270, 662, 9.0, ()),
+    ("dup-reorder", "reliable-flood", 1, 64, 64, 634, 81, 8.0, ()),
+    ("dup-reorder", "arq-reliable-flood", 1, 64, 64, 1761, 207, 8.0, ()),
+    ("flapping", "reliable-flood", 1, 61, 64, 360, 96, 5.0, ()),
+    ("flapping", "arq-reliable-flood", 1, 64, 64, 1196, 376, 33.5, ()),
+    ("partition-heal", "reliable-flood", 1, 32, 64, 62, 544, 3.0, ()),
+    ("partition-heal", "arq-reliable-flood", 1, 64, 64, 2980, 2448, 43.5, ()),
+    ("crash-recover", "reliable-flood", 1, 59, 64, 498, 144, 5.0, ()),
+    ("crash-recover", "arq-reliable-flood", 1, 64, 64, 1941, 561, 36.5, ()),
+]
+
+
+class TestPinnedAcrossVersions:
+    """Firing order pinned against values recorded on an earlier engine."""
+
+    def test_chaotic_traces_match_golden_digests(self):
+        for seed, (length, digest) in GOLDEN_TRACES.items():
+            events = chaotic_trace(seed)
+            assert (len(events), trace_digest(events)) == (length, digest), seed
+
+    def test_campaign_cells_match_golden_grid(self):
+        graph, _ = build_lhg(64, 4)
+        matrix = ChaosCampaign([(graph.name, graph)], seeds=(1,)).run()
+        cells = [
+            (
+                c.scenario,
+                c.protocol,
+                c.seed,
+                c.covered,
+                c.reachable,
+                c.messages,
+                c.retransmissions,
+                c.completion_time,
+                c.violations,
+            )
+            for c in matrix.cells
+        ]
+        assert cells == GOLDEN_CAMPAIGN
 
 
 class TestSeedSensitivity:

@@ -7,8 +7,9 @@ from repro.flooding.failures import FailureSchedule, apply_schedule
 from repro.flooding.network import Network
 from repro.flooding.protocols.flood import FloodProtocol
 from repro.flooding.simulator import Simulator
-from repro.flooding.trace import TraceCollector
+from repro.flooding.trace import TraceCollector, TraceEvent
 from repro.graphs.generators.classic import cycle_graph, path_graph
+from repro.robustness.invariants import RunRecord, check_no_dead_delivery
 
 
 def traced_flood(graph, source, schedule=None, trace=None, loss_rate=0.0):
@@ -80,6 +81,58 @@ class TestCollection:
         traced_flood(cycle_graph(10), 0, trace=trace)
         assert len(trace.events) == 3
         assert trace.truncated > 0
+
+
+class TestRecords:
+    """Records keep falsy node ids and explicit ``None`` payloads."""
+
+    def test_crash_and_recover_of_node_zero_keep_the_id(self):
+        net = Network(path_graph(3), Simulator())  # int labels 0, 1, 2
+        trace = TraceCollector()
+        net.add_observer(trace)
+        net.crash_node(0)
+        net.recover_node(0)
+        net.fail_link(0, 1)
+        assert [(e.kind, e.node) for e in trace.events] == [
+            ("crash", 0),
+            ("recover", 0),
+            ("link-down", 0),
+        ]
+
+    def test_delivery_to_crashed_node_zero_is_a_violation(self):
+        graph, sim = path_graph(3), Simulator()
+        net = Network(graph, sim)
+        trace = TraceCollector()
+        net.add_observer(trace)
+        net.crash_node(0)
+        # a harness bug that delivers to the dead node anyway
+        trace("deliver", 1.0, sender=1, receiver=0)
+        record = RunRecord(
+            graph=graph,
+            source=1,
+            schedule=None,
+            network=net,
+            simulator=sim,
+            trace=trace,
+            protocol=object(),
+            result=None,
+        )
+        violation = check_no_dead_delivery(record)
+        assert violation is not None
+        assert violation.invariant == "no-dead-delivery"
+        assert "node 0 " in violation.detail
+
+    def test_explicit_none_payload_is_recorded(self):
+        trace = TraceCollector(keep_payloads=True)
+        trace("send", 0.0, sender=0, receiver=1, payload=None)
+        trace("send", 0.0, sender=0, receiver=1)
+        assert [e.detail for e in trace.events] == ["None", ""]
+
+    def test_records_are_immutable_tuples_with_defaults(self):
+        event = TraceEvent("crash", 1.0, node=0)
+        assert tuple(event) == ("crash", 1.0, None, None, 0, "")
+        with pytest.raises(AttributeError):
+            event.node = 1  # type: ignore[misc]
 
 
 class TestNonPerturbation:
