@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.analysis.tables import render_table
 from repro.core.existence import build_lhg
-from repro.flooding.experiments import run_flood
+from repro.flooding.experiments import ExperimentSpec, run_experiment
 from repro.flooding.network import (
     ConstantLatency,
     ExponentialLatency,
@@ -29,7 +29,9 @@ def _mean_completion(graph, model_factory) -> float:
     source = graph.nodes()[0]
     total = 0.0
     for seed in range(SEEDS):
-        result = run_flood(graph, source, latency=model_factory(seed))
+        result = run_experiment(
+            ExperimentSpec("flood", graph, source, latency=model_factory(seed))
+        ).result
         assert result.fully_covered
         total += result.completion_time
     return total / SEEDS
@@ -59,7 +61,9 @@ def test_a4_latency_models(benchmark, report):
     lhg, _ = build_lhg(SIZES[0], K)
     source = lhg.nodes()[0]
     benchmark(
-        lambda: run_flood(lhg, source, latency=ExponentialLatency(0.1, 1.0, seed=0))
+        lambda: run_experiment(ExperimentSpec(
+            "flood", lhg, source, latency=ExponentialLatency(0.1, 1.0, seed=0),
+        )).result
     )
 
     report(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.analysis.tables import render_table
 from repro.core.existence import build_lhg
-from repro.flooding.experiments import repeat_runs, run_flood, run_gossip, run_treecast
+from repro.flooding.experiments import ExperimentSpec, repeat_runs, run_experiment
 
 N, K, SEEDS = 62, 4, 20
 LOSS_RATES = (0.0, 0.05, 0.1, 0.2, 0.3, 0.5)
@@ -24,11 +24,19 @@ def test_a5_message_loss(benchmark, report):
 
     rows = []
     for loss in LOSS_RATES:
-        flood = repeat_runs(run_flood, graph, source, None, SEEDS, loss_rate=loss)
-        tree = repeat_runs(run_treecast, graph, source, None, SEEDS, loss_rate=loss)
+        flood = repeat_runs(
+            ExperimentSpec("flood", graph, source, loss_rate=loss), None, SEEDS
+        )
+        tree = repeat_runs(
+            ExperimentSpec("treecast", graph, source, loss_rate=loss), None, SEEDS
+        )
         gossip = repeat_runs(
-            run_gossip, graph, source, None, SEEDS, fanout=2, rounds=14,
-            loss_rate=loss,
+            ExperimentSpec(
+                "gossip", graph, source, loss_rate=loss,
+                params={"fanout": 2, "rounds": 14},
+            ),
+            None,
+            SEEDS,
         )
         rows.append(
             (
@@ -49,7 +57,8 @@ def test_a5_message_loss(benchmark, report):
     for flood_ratio, tree_ratio in zip(flood_series[1:], tree_series[1:]):
         assert flood_ratio > tree_ratio
 
-    benchmark(lambda: run_flood(graph, source, loss_rate=0.2, loss_seed=1))
+    spec = ExperimentSpec("flood", graph, source, loss_rate=0.2, loss_seed=1)
+    benchmark(lambda: run_experiment(spec).result)
 
     report(
         "a5_message_loss",

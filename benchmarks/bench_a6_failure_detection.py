@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.analysis.tables import render_table
 from repro.core.existence import build_lhg
-from repro.flooding.experiments import run_failure_detection
+from repro.flooding.experiments import ExperimentSpec, run_experiment
 from repro.flooding.network import ExponentialLatency
 
 N, K = 30, 3
@@ -28,22 +28,27 @@ def test_a6_failure_detection(benchmark, report):
 
     rows = []
     for timeout in TIMEOUTS:
-        clean = run_failure_detection(
-            graph, [victim], CRASH_TIME, period=1.0, timeout=timeout
-        )
-        noisy = run_failure_detection(
-            graph,
-            [victim],
-            CRASH_TIME,
-            period=1.0,
-            timeout=timeout,
-            latency=ExponentialLatency(0.1, 1.2, seed=3),
-            horizon=40.0,
-        )
-        lossy = run_failure_detection(
-            graph, [victim], CRASH_TIME, period=1.0, timeout=timeout,
-            loss_rate=0.15,
-        )
+        clean = run_experiment(ExperimentSpec(
+            "failure-detection", graph,
+            params={
+                "crashed": (victim,), "crash_time": CRASH_TIME, "period": 1.0,
+                "timeout": timeout,
+            },
+        )).metric("report")
+        noisy = run_experiment(ExperimentSpec(
+            "failure-detection", graph, latency=ExponentialLatency(0.1, 1.2, seed=3),
+            params={
+                "crashed": (victim,), "crash_time": CRASH_TIME, "period": 1.0,
+                "timeout": timeout, "horizon": 40.0,
+            },
+        )).metric("report")
+        lossy = run_experiment(ExperimentSpec(
+            "failure-detection", graph, loss_rate=0.15,
+            params={
+                "crashed": (victim,), "crash_time": CRASH_TIME, "period": 1.0,
+                "timeout": timeout,
+            },
+        )).metric("report")
         rows.append(
             (
                 timeout,
@@ -66,9 +71,13 @@ def test_a6_failure_detection(benchmark, report):
     assert rows[-1][4]
 
     benchmark(
-        lambda: run_failure_detection(
-            graph, [victim], CRASH_TIME, period=1.0, timeout=3.5, horizon=20.0
-        )
+        lambda: run_experiment(ExperimentSpec(
+            "failure-detection", graph,
+            params={
+                "crashed": (victim,), "crash_time": CRASH_TIME, "period": 1.0,
+                "timeout": 3.5, "horizon": 20.0,
+            },
+        )).metric("report")
     )
 
     report(

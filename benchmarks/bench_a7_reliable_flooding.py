@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.analysis.tables import render_table
 from repro.core.existence import build_lhg
-from repro.flooding.experiments import repeat_runs, run_flood, run_reliable_flood
+from repro.flooding.experiments import ExperimentSpec, repeat_runs, run_experiment
 
 N, K, SEEDS = 40, 4, 15
 LOSS_RATES = (0.0, 0.2, 0.4, 0.6)
@@ -25,9 +25,11 @@ def test_a7_reliable_flooding(benchmark, report):
 
     rows = []
     for loss in LOSS_RATES:
-        plain = repeat_runs(run_flood, graph, source, None, SEEDS, loss_rate=loss)
+        plain = repeat_runs(
+            ExperimentSpec("flood", graph, source, loss_rate=loss), None, SEEDS
+        )
         reliable = repeat_runs(
-            run_reliable_flood, graph, source, None, SEEDS, loss_rate=loss
+            ExperimentSpec("reliable-flood", graph, source, loss_rate=loss), None, SEEDS
         )
         rows.append(
             (
@@ -48,7 +50,9 @@ def test_a7_reliable_flooding(benchmark, report):
     assert overhead[-1] > overhead[0]
 
     benchmark(
-        lambda: run_reliable_flood(graph, source, loss_rate=0.4, loss_seed=1)
+        lambda: run_experiment(
+            ExperimentSpec("reliable-flood", graph, source, loss_rate=0.4, loss_seed=1)
+        ).result
     )
 
     report(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.analysis.tables import render_table
 from repro.core.existence import build_lhg
-from repro.flooding.experiments import run_echo
+from repro.flooding.experiments import ExperimentSpec, run_experiment
 from repro.graphs.generators.harary import harary_graph
 from repro.graphs.traversal import eccentricity
 
@@ -67,7 +67,8 @@ def test_f10_confirmed_broadcast(benchmark, report):
 
     lhg, _ = build_lhg(SIZES[0], K)
     source = lhg.nodes()[0]
-    benchmark(lambda: run_echo(lhg, source))
+    spec = ExperimentSpec("echo", lhg, source)
+    benchmark(lambda: run_experiment(spec))
 
     report(
         "f10_confirmed_broadcast",

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from repro.analysis.tables import render_table
 from repro.core.existence import build_lhg
-from repro.flooding.experiments import run_view_change
+from repro.flooding.experiments import ExperimentSpec, run_experiment
 from repro.graphs.generators.harary import harary_graph
 
 K = 4
@@ -47,10 +47,13 @@ def _converge(graph, crash_count):
     damaged_diameter = diameter(graph.without_nodes(victims))
     quiet = damaged_diameter + 2.0
     horizon = CRASH_TIME + 3.5 + quiet + 3 * damaged_diameter + 20
-    report = run_view_change(
-        graph, coordinator, victims, CRASH_TIME, decision_delay=quiet,
-        horizon=horizon,
-    )
+    report = run_experiment(ExperimentSpec(
+        "view-change", graph, coordinator,
+        params={
+            "crashed": tuple(victims), "crash_time": CRASH_TIME,
+            "decision_delay": quiet, "horizon": horizon,
+        },
+    )).metric("report")
     assert report.converged, (graph.name, crash_count)
     return report.last_adoption - CRASH_TIME
 
@@ -77,7 +80,10 @@ def test_f11_view_change(benchmark, report):
     coordinator = lhg.nodes()[0]
     victims = lhg.nodes()[3:6]
     benchmark(
-        lambda: run_view_change(lhg, coordinator, victims, CRASH_TIME)
+        lambda: run_experiment(ExperimentSpec(
+            "view-change", lhg, coordinator,
+            params={"crashed": tuple(victims), "crash_time": CRASH_TIME},
+        )).metric("report")
     )
 
     report(

@@ -36,7 +36,7 @@ import time
 
 from repro import obs
 from repro.core.existence import build_lhg
-from repro.flooding.experiments import run_flood
+from repro.flooding.experiments import ExperimentSpec, run_experiment
 from repro.obs.prof import SamplingProfiler
 from repro.perf import emit_bench
 
@@ -53,7 +53,7 @@ def _flood_arm(graph, source) -> float:
     start = time.perf_counter()
     for _ in range(FLOODS_PER_ARM):
         with obs.span("flood", n=N, k=K):
-            run_flood(graph, source)
+            run_experiment(ExperimentSpec("flood", graph, source)).result
     return time.perf_counter() - start
 
 
@@ -163,6 +163,6 @@ def test_f18_profiler_overhead(benchmark, report):
     # time one profiled flood pass as the pytest-benchmark sample
     def profiled_flood():
         with SamplingProfiler(hz=HZ):
-            return run_flood(graph, source)
+            return run_experiment(ExperimentSpec("flood", graph, source)).result
 
     benchmark(profiled_flood)

@@ -14,7 +14,7 @@ from repro.analysis.stats import growth_exponent, is_roughly_logarithmic
 from repro.analysis.sweep import geometric_sizes
 from repro.analysis.tables import render_series
 from repro.core.existence import build_lhg
-from repro.flooding.experiments import run_flood
+from repro.flooding.experiments import ExperimentSpec, run_experiment
 from repro.graphs.generators.harary import harary_graph
 
 K = 4
@@ -27,7 +27,7 @@ def _worst_latency(graph) -> float:
     picks = nodes[:: max(1, len(nodes) // SOURCE_SAMPLES)][:SOURCE_SAMPLES]
     worst = 0.0
     for source in picks:
-        result = run_flood(graph, source)
+        result = run_experiment(ExperimentSpec("flood", graph, source)).result
         assert result.fully_covered
         worst = max(worst, result.completion_time)
     return worst
@@ -42,7 +42,7 @@ def test_f2_flood_latency(benchmark, report):
 
     timed, _ = build_lhg(MAX_N, K)
     source = timed.nodes()[0]
-    benchmark(lambda: run_flood(timed, source))
+    benchmark(lambda: run_experiment(ExperimentSpec("flood", timed, source)).result)
 
     ns = [r[0] for r in rows]
     harary_latency = [r[1] for r in rows]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.analysis.tables import render_table
 from repro.core.existence import build_lhg
-from repro.flooding.experiments import repeat_runs, run_flood, run_treecast
+from repro.flooding.experiments import ExperimentSpec, repeat_runs, run_experiment
 from repro.flooding.failures import random_crashes
 
 N, K, SEEDS = 62, 4, 40
@@ -31,8 +31,12 @@ def test_f3_reliability(benchmark, report):
 
     rows = []
     for crashes in range(0, 2 * K + 1):
-        flood = repeat_runs(run_flood, graph, source, schedule_factory(crashes), SEEDS)
-        tree = repeat_runs(run_treecast, graph, source, schedule_factory(crashes), SEEDS)
+        flood = repeat_runs(
+            ExperimentSpec("flood", graph, source), schedule_factory(crashes), SEEDS
+        )
+        tree = repeat_runs(
+            ExperimentSpec("treecast", graph, source), schedule_factory(crashes), SEEDS
+        )
         rows.append(
             (
                 crashes,
@@ -51,7 +55,8 @@ def test_f3_reliability(benchmark, report):
     assert rows[-1][1] > 0.9
 
     one_schedule = random_crashes(graph, K - 1, seed=0, protect={source})
-    benchmark(lambda: run_flood(graph, source, failures=one_schedule))
+    spec = ExperimentSpec("flood", graph, source, failures=one_schedule)
+    benchmark(lambda: run_experiment(spec).result)
 
     report(
         "f3_reliability",

@@ -15,7 +15,7 @@ import random
 from repro.analysis.tables import render_table
 from repro.core.existence import build_lhg
 from repro.core.routing import menger_witness, tree_route
-from repro.flooding.experiments import run_redundant_unicast, run_unicast
+from repro.flooding.experiments import ExperimentSpec, run_experiment
 from repro.flooding.failures import random_crashes
 
 N, K, SEEDS, PAIRS = 46, 4, 25, 6
@@ -45,16 +45,18 @@ def test_f7_unicast(benchmark, report):
                     if crashes
                     else None
                 )
-                delivered, hops = run_unicast(
-                    graph, routes[(s, t)], failures=schedule
-                )
-                single_ok += delivered is not None
-                single_msgs += hops
-                delivered_r, _, msgs = run_redundant_unicast(
-                    graph, paths, failures=schedule
-                )
-                redundant_ok += delivered_r is not None
-                redundant_msgs += msgs
+                single = run_experiment(ExperimentSpec(
+                    "unicast", graph, failures=schedule,
+                    params={"path": routes[(s, t)]},
+                ))
+                single_ok += single.metric("delivered_at") is not None
+                single_msgs += single.metric("hops")
+                redundant = run_experiment(ExperimentSpec(
+                    "redundant-unicast", graph, failures=schedule,
+                    params={"paths": paths},
+                ))
+                redundant_ok += redundant.metric("delivered_at") is not None
+                redundant_msgs += redundant.metric("messages")
                 trials += 1
         rows.append(
             (
@@ -74,7 +76,10 @@ def test_f7_unicast(benchmark, report):
     assert rows[0][4] <= K * rows[0][3] * 2.5
 
     s, t = endpoint_pairs[0]
-    benchmark(lambda: run_redundant_unicast(graph, witnesses[(s, t)]))
+    spec = ExperimentSpec(
+        "redundant-unicast", graph, params={"paths": witnesses[(s, t)]}
+    )
+    benchmark(lambda: run_experiment(spec))
 
     report(
         "f7_unicast",

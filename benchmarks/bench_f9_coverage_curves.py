@@ -15,7 +15,7 @@ import math
 
 from repro.analysis.curves import ascii_curves, coverage_curve, time_to_fraction
 from repro.core.existence import build_lhg
-from repro.flooding.experiments import run_flood
+from repro.flooding.experiments import ExperimentSpec, run_experiment
 from repro.graphs.generators.harary import harary_graph
 
 N, K = 254, 4
@@ -24,8 +24,8 @@ N, K = 254, 4
 def test_f9_coverage_curves(benchmark, report):
     lhg, _ = build_lhg(N, K)
     harary = harary_graph(K, N)
-    lhg_run = run_flood(lhg, lhg.nodes()[0])
-    harary_run = run_flood(harary, 0)
+    lhg_run = run_experiment(ExperimentSpec("flood", lhg, lhg.nodes()[0])).result
+    harary_run = run_experiment(ExperimentSpec("flood", harary, 0)).result
     assert lhg_run.fully_covered and harary_run.fully_covered
 
     lhg_half = time_to_fraction(lhg_run, 0.5)
@@ -51,6 +51,7 @@ def test_f9_coverage_curves(benchmark, report):
         f"harary={harary_run.completion_time:g}\n\n" + plot
     )
 
-    benchmark(lambda: coverage_curve(run_flood(lhg, lhg.nodes()[0]), buckets=40))
+    spec = ExperimentSpec("flood", lhg, lhg.nodes()[0])
+    benchmark(lambda: coverage_curve(run_experiment(spec).result, buckets=40))
 
     report("f9_coverage_curves", summary)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.analysis.tables import render_table
 from repro.core.existence import build_lhg
-from repro.flooding.experiments import run_flood, run_gossip, run_treecast
+from repro.flooding.experiments import ExperimentSpec, run_experiment
 
 SIZES = (20, 40, 80, 160)
 K = 4
@@ -24,11 +24,12 @@ def test_t3_message_overhead(benchmark, report):
         graph, _ = build_lhg(n, K)
         source = graph.nodes()[0]
         m = graph.number_of_edges()
-        flood = run_flood(graph, source)
-        gossip = run_gossip(
-            graph, source, fanout=GOSSIP_FANOUT, rounds=GOSSIP_ROUNDS, seed=1
-        )
-        tree = run_treecast(graph, source)
+        flood = run_experiment(ExperimentSpec("flood", graph, source)).result
+        gossip = run_experiment(ExperimentSpec(
+            "gossip", graph, source, seed=1,
+            params={"fanout": GOSSIP_FANOUT, "rounds": GOSSIP_ROUNDS},
+        )).result
+        tree = run_experiment(ExperimentSpec("treecast", graph, source)).result
         rows.append(
             (
                 n,
@@ -48,9 +49,10 @@ def test_t3_message_overhead(benchmark, report):
     graph, _ = build_lhg(SIZES[-1], K)
     source = graph.nodes()[0]
     benchmark(
-        lambda: run_gossip(
-            graph, source, fanout=GOSSIP_FANOUT, rounds=GOSSIP_ROUNDS, seed=1
-        )
+        lambda: run_experiment(ExperimentSpec(
+            "gossip", graph, source, seed=1,
+            params={"fanout": GOSSIP_FANOUT, "rounds": GOSSIP_ROUNDS},
+        )).result
     )
 
     report(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro.analysis.tables import render_table
 from repro.core.existence import build_lhg
-from repro.flooding.experiments import run_broadcast_stream
+from repro.flooding.experiments import ExperimentSpec, run_experiment
 from repro.flooding.network import BandwidthLatency
 from repro.graphs.generators.harary import harary_graph
 
@@ -31,13 +31,17 @@ def test_t6_throughput(benchmark, report):
         lhg, _ = build_lhg(n, K)
         harary = harary_graph(K, n)
         for burst in BURSTS:
-            lhg_makespan, lhg_cov, _ = run_broadcast_stream(
-                lhg, lhg.nodes()[0], burst, latency=BandwidthLatency(1.0, 0.1)
+            lhg_run, harary_run = (
+                run_experiment(ExperimentSpec(
+                    "broadcast-stream", graph, source,
+                    latency=BandwidthLatency(1.0, 0.1), params={"count": burst},
+                ))
+                for graph, source in ((lhg, lhg.nodes()[0]), (harary, 0))
             )
-            harary_makespan, harary_cov, _ = run_broadcast_stream(
-                harary, 0, burst, latency=BandwidthLatency(1.0, 0.1)
-            )
-            assert lhg_cov and harary_cov
+            assert lhg_run.metric("fully_covered")
+            assert harary_run.metric("fully_covered")
+            lhg_makespan = lhg_run.metric("makespan")
+            harary_makespan = harary_run.metric("makespan")
             rows.append(
                 (
                     n,
@@ -61,11 +65,11 @@ def test_t6_throughput(benchmark, report):
             assert by_key[(n, burst)][4] > 1.25
 
     lhg, _ = build_lhg(SIZES[0], K)
-    benchmark(
-        lambda: run_broadcast_stream(
-            lhg, lhg.nodes()[0], 8, latency=BandwidthLatency(1.0, 0.1)
-        )
+    spec = ExperimentSpec(
+        "broadcast-stream", lhg, lhg.nodes()[0],
+        latency=BandwidthLatency(1.0, 0.1), params={"count": 8},
     )
+    benchmark(lambda: run_experiment(spec))
 
     report(
         "t6_throughput",

@@ -16,7 +16,7 @@ Run:  python examples/autonomic_system.py
 
 import random
 
-from repro.flooding import run_failure_detection, run_flood
+from repro.flooding import ExperimentSpec, run_experiment
 from repro.flooding.failures import crash_before_start
 from repro.graphs.connectivity import node_connectivity
 from repro.overlay import LHGOverlay, execute_repair
@@ -39,7 +39,7 @@ def main() -> int:
 
         # 1. normal operation
         source = overlay.members[0]
-        healthy = run_flood(topology, source)
+        healthy = run_experiment(ExperimentSpec("flood", topology, source)).result
         assert healthy.fully_covered
         print(
             f"  operate: flood covered {healthy.covered}/{healthy.n} "
@@ -53,9 +53,13 @@ def main() -> int:
         print(f"  fail   : {', '.join(map(str, victims))} crash at t={CRASH_TIME}")
 
         # 3. detection via heartbeats over the damaged topology
-        detection = run_failure_detection(
-            topology, victims, CRASH_TIME, period=1.0, timeout=3.5
-        )
+        detection = run_experiment(ExperimentSpec(
+            "failure-detection", topology,
+            params={
+                "crashed": tuple(victims), "crash_time": CRASH_TIME, "period": 1.0,
+                "timeout": 3.5,
+            },
+        )).metric("report")
         assert detection.complete and detection.accurate
         print(
             f"  detect : all neighbours suspected the crashed peers within "
@@ -63,9 +67,9 @@ def main() -> int:
         )
 
         # flooding still works while damaged (the k-1 guarantee)
-        degraded = run_flood(
-            topology, source, failures=crash_before_start(victims)
-        )
+        degraded = run_experiment(ExperimentSpec(
+            "flood", topology, source, failures=crash_before_start(victims),
+        )).result
         assert degraded.fully_covered
         print(
             f"  bridge : flood during damage still covered "

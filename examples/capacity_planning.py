@@ -16,7 +16,7 @@ Run:  python examples/capacity_planning.py
 from repro.analysis.tables import render_table
 from repro.core import build_lhg, check_lhg
 from repro.core.planning import plan_topology
-from repro.flooding import run_echo, run_flood
+from repro.flooding import ExperimentSpec, run_experiment
 
 MEMBERS = 250
 CRASHES_TO_SURVIVE = 3
@@ -38,15 +38,15 @@ def main() -> int:
 
     # 3. validate the predicted message bill against a simulation
     source = graph.nodes()[0]
-    flood = run_flood(graph, source)
+    flood = run_experiment(ExperimentSpec("flood", graph, source)).result
     assert flood.messages == plan.message_cost_per_broadcast
-    echo = run_echo(graph, source)
-    assert echo.completed and echo.aggregate == plan.n
+    echo = run_experiment(ExperimentSpec("echo", graph, source))
+    assert echo.metric("completed") and echo.metric("aggregate") == plan.n
     print(
         f"simulated: flood {flood.messages} msgs (predicted "
         f"{plan.message_cost_per_broadcast}), covered {flood.covered}/{plan.n} "
         f"at t={flood.completion_time}; confirmed broadcast round trip "
-        f"t={echo.completed_at}"
+        f"t={echo.metric('completed_at')}"
     )
 
     # 4. the k trade-off table

@@ -13,7 +13,7 @@ Run:  python examples/p2p_overlay_churn.py
 """
 
 from repro.analysis.tables import render_table
-from repro.flooding import run_flood
+from repro.flooding import ExperimentSpec, run_experiment
 from repro.graphs.connectivity import node_connectivity
 from repro.overlay import LHGOverlay, churn_summary, generate_trace
 
@@ -64,7 +64,7 @@ def main() -> int:
 
     topology = overlay.topology()
     source = overlay.members[0]
-    result = run_flood(topology, source)
+    result = run_experiment(ExperimentSpec("flood", topology, source)).result
     print(
         f"Flood through the final overlay ({overlay.size} peers): "
         f"covered {result.covered}/{result.n} at t={result.completion_time} "

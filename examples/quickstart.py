@@ -6,7 +6,7 @@ Run:  python examples/quickstart.py [n] [k]
 
 import sys
 
-from repro import build_lhg, check_lhg, harary_graph, run_flood
+from repro import ExperimentSpec, build_lhg, check_lhg, harary_graph, run_experiment
 from repro.graphs.traversal import diameter
 
 
@@ -36,7 +36,7 @@ def main() -> int:
 
     # 4. Flood it: every node is covered in diameter-many unit-latency hops.
     source = graph.nodes()[0]
-    result = run_flood(graph, source)
+    result = run_experiment(ExperimentSpec("flood", graph, source)).result
     print(
         f"  flooding   : covered {result.covered}/{result.n} nodes in "
         f"t={result.completion_time} using {result.messages} messages"

@@ -17,13 +17,7 @@ Run:  python examples/resilient_broadcast.py
 
 from repro import build_lhg
 from repro.analysis.tables import render_table
-from repro.flooding import (
-    random_crashes,
-    repeat_runs,
-    run_flood,
-    run_gossip,
-    run_treecast,
-)
+from repro.flooding import ExperimentSpec, random_crashes, repeat_runs
 
 N, K, SEEDS = 60, 4, 25
 
@@ -39,10 +33,12 @@ def main() -> int:
                 return None
             return random_crashes(graph, f, seed=seed, protect={source})
 
-        flood = repeat_runs(run_flood, graph, source, schedule, SEEDS)
-        tree = repeat_runs(run_treecast, graph, source, schedule, SEEDS)
+        flood = repeat_runs(ExperimentSpec("flood", graph, source), schedule, SEEDS)
+        tree = repeat_runs(ExperimentSpec("treecast", graph, source), schedule, SEEDS)
         gossip = repeat_runs(
-            run_gossip, graph, source, schedule, SEEDS, fanout=2, rounds=14
+            ExperimentSpec("gossip", graph, source, params={"fanout": 2, "rounds": 14}),
+            schedule,
+            SEEDS,
         )
         rows.append(
             (

@@ -17,7 +17,7 @@ Run:  python examples/self_healing_overlay.py
 import random
 
 from repro.analysis.tables import render_table
-from repro.flooding import run_flood
+from repro.flooding import ExperimentSpec, run_experiment
 from repro.flooding.failures import crash_before_start
 from repro.graphs.connectivity import node_connectivity
 from repro.overlay import LHGOverlay, execute_repair
@@ -42,9 +42,9 @@ def main() -> int:
         # 1. The failures strike: flood through the *damaged* topology.
         damaged = overlay.topology()
         source = next(m for m in overlay.members if m not in victims)
-        result = run_flood(
-            damaged, source, failures=crash_before_start(victims)
-        )
+        result = run_experiment(ExperimentSpec(
+            "flood", damaged, source, failures=crash_before_start(victims),
+        )).result
         assert result.fully_covered, "k-1 crashes can never break flooding"
 
         # 2. The controller repairs.

@@ -8,12 +8,13 @@ logarithmically many hops.
 
 Quickstart::
 
-    from repro import build_lhg, check_lhg, run_flood
+    from repro import ExperimentSpec, build_lhg, check_lhg, run_experiment
 
     graph, certificate = build_lhg(n=100, k=4)
     report = check_lhg(graph, k=4)
     assert report.is_lhg
-    result = run_flood(graph, source=graph.nodes()[0])
+    spec = ExperimentSpec("flood", graph, source=graph.nodes()[0])
+    result = run_experiment(spec).result
     print(result.completion_time, result.messages)
 
 Package map:
@@ -53,9 +54,6 @@ from repro.flooding.experiments import (
     ExperimentSpec,
     RunSummary,
     run_experiment,
-    run_flood,
-    run_gossip,
-    run_treecast,
 )
 from repro.graphs.generators.harary import harary_graph
 from repro.graphs.graph import Graph
@@ -98,10 +96,7 @@ __all__ = [
     "ktree_graph",
     "regular_exists",
     "run_experiment",
-    "run_flood",
-    "run_gossip",
     "run_lint",
-    "run_treecast",
     "standard_protocols",
     "standard_scenarios",
 ]

@@ -63,7 +63,7 @@ from repro.analysis.tables import render_table
 from repro.core.existence import build_lhg, coverage_table
 from repro.core.properties import check_lhg
 from repro.errors import ReproError
-from repro.flooding.experiments import run_flood
+from repro.flooding.experiments import ExperimentSpec, run_experiment
 from repro.flooding.failures import random_crashes
 from repro.graphs.generators.harary import harary_graph
 from repro.graphs.io import to_json
@@ -243,7 +243,9 @@ def _cmd_flood(args: argparse.Namespace) -> int:
         schedule = random_crashes(
             graph, args.crashes, seed=args.seed, protect={source}
         )
-    result = run_flood(graph, source, failures=schedule)
+    result = run_experiment(
+        ExperimentSpec("flood", graph, source, failures=schedule)
+    ).result
     print(
         f"flood on {graph.name}: covered {result.covered}/{result.reachable} "
         f"reachable ({result.delivery_ratio:.2%}), {result.messages} messages, "
@@ -393,7 +395,7 @@ def _cmd_prof(args: argparse.Namespace) -> int:
         with profiler:
             for _ in range(args.repeat):
                 with obs.span("flood", n=args.n, k=args.k):
-                    run_flood(graph, source)
+                    run_experiment(ExperimentSpec("flood", graph, source))
     finally:
         if own:
             obs.uninstall()

@@ -31,7 +31,8 @@ over a parameter grid.  This package gives those maps four things:
 Layers above wire through it behind ``workers=`` / ``timeout=`` /
 ``retries=`` / ``checkpoint=`` options:
 ``ChaosCampaign.run(workers=4, checkpoint="run.jsonl", resume=True)``,
-``repeat_runs(..., workers=4)``, ``run_sweep(..., workers=4)`` and
+``run_experiments(specs, workers=4)`` (and ``repeat_runs(spec, ...,
+workers=4)`` on top of it), ``run_sweep(..., workers=4)`` and
 ``python -m repro chaos 256 4 --workers 4 --checkpoint run.jsonl --resume``.
 """
 

@@ -25,7 +25,8 @@ maps) ride through :func:`pack_pickle` / :func:`unpack_pickle`, which
 wrap a base64 pickle in a JSON object; campaign cells use an explicit
 JSON codec instead so journals stay human-inspectable.
 
-``ChaosCampaign.run``, ``run_experiments`` / ``repeat_runs`` and
+``ChaosCampaign.run``, ``run_experiments`` (and ``repeat_runs``, which
+runs its repetitions through it) and
 ``run_sweep`` all accept ``checkpoint=`` (a journal path) and
 ``resume=True`` and share one implementation, :func:`resume_map`; the
 CLI exposes them as ``--checkpoint`` / ``--resume`` on the chaos and
@@ -231,7 +232,7 @@ def resume_map(
     fn: Callable[[Any], Any],
     items: Sequence[Any],
     labels: Sequence[str],
-    key: Callable[[int], str],
+    key: Callable[[int], Optional[str]],
     workers: Optional[int] = None,
     checkpoint: Optional[Union[str, Path, CheckpointJournal]] = None,
     resume: bool = False,
@@ -249,8 +250,10 @@ def resume_map(
     order, the execution report of the map over the items the journal
     did not hold, and how many items came from the journal.
 
-    ``key(i)`` is item ``i``'s :func:`checkpoint_key`; ``encode`` and
-    ``decode`` turn a value into a JSON journal payload and back.  The
+    ``key(i)`` is item ``i``'s :func:`checkpoint_key`, or ``None`` for
+    an item that has no stable identity: such an item is never looked up
+    nor journaled, so a resume recomputes it.  ``encode`` and ``decode``
+    turn a value into a JSON journal payload and back.  The
     policy is ``supervisor`` when given.  Otherwise a map with a journal,
     a ``timeout`` or ``retries`` runs ``SupervisorConfig(timeout,
     retries (default 2), failure_mode)``, and a map with none of them
@@ -267,11 +270,11 @@ def resume_map(
             failure_mode=failure_mode,
         )
     done: Dict[int, Any] = {}
-    keys: List[str] = []
+    keys: List[Optional[str]] = []
     if journal is not None:
         keys = [key(i) for i in range(len(items))]
         for position, item_key in enumerate(keys):
-            payload = journal.get(item_key)
+            payload = None if item_key is None else journal.get(item_key)
             if payload is not None:
                 done[position] = decode(payload)
     todo = [i for i in range(len(items)) if i not in done]
@@ -279,9 +282,9 @@ def resume_map(
         chained = config.on_result
 
         def record(position: int, value: Any) -> None:
-            journal.record(
-                keys[todo[position]], encode(value), label=labels[todo[position]]
-            )
+            item_key = keys[todo[position]]
+            if item_key is not None:
+                journal.record(item_key, encode(value), label=labels[todo[position]])
             if chained is not None:
                 chained(position, value)
 

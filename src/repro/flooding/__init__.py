@@ -11,7 +11,8 @@ topology.  This package simulates it end-to-end:
 * :mod:`repro.flooding.protocols` — deterministic flooding plus gossip
   and spanning-tree baselines;
 * :mod:`repro.flooding.metrics` / :mod:`repro.flooding.experiments` —
-  result records and one-call experiment runners.
+  result records and the one experiment entry point,
+  ``run_experiment(ExperimentSpec(...))``.
 """
 
 from repro.flooding.experiments import (
@@ -21,17 +22,6 @@ from repro.flooding.experiments import (
     repeat_runs,
     run_experiment,
     run_experiments,
-    run_arq_flood,
-    run_broadcast_stream,
-    run_echo,
-    run_failure_detection,
-    run_flood,
-    run_gossip,
-    run_redundant_unicast,
-    run_reliable_flood,
-    run_treecast,
-    run_unicast,
-    run_view_change,
     summarize_run,
 )
 from repro.flooding.failures import (
@@ -105,19 +95,8 @@ __all__ = [
     "random_link_failures",
     "reachable_from",
     "repeat_runs",
-    "run_arq_flood",
-    "run_broadcast_stream",
-    "run_echo",
     "run_experiment",
     "run_experiments",
-    "run_failure_detection",
-    "run_flood",
-    "run_gossip",
-    "run_redundant_unicast",
-    "run_reliable_flood",
-    "run_treecast",
-    "run_unicast",
-    "run_view_change",
     "summarize_run",
     "survivors",
     "targeted_crashes",

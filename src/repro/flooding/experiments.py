@@ -1,28 +1,27 @@
-"""High-level experiment runners: one call = one simulated dissemination.
+"""High-level experiments: one spec = one simulated dissemination.
 
 The unit of this module is the :class:`ExperimentSpec` — a frozen,
 declarative description of one run (protocol name, topology, source,
 seed, parameters) — and the single dispatcher
 :func:`run_experiment(spec) <run_experiment>` that executes it and
-returns a :class:`RunSummary`.  One spec type instead of a dozen
-near-identical runner signatures is what lets the execution engine
-(:mod:`repro.exec`) fan a grid of runs across worker processes: a spec
-is plain data, a cell is ``run_experiment`` applied to it, and the
-result is a pure function of the spec.
+returns a :class:`RunSummary`.  One spec type for every protocol is
+what lets the execution engine (:mod:`repro.exec`) fan a grid of runs
+across worker processes: a spec is plain data, a cell is
+``run_experiment`` applied to it, and the result is a pure function of
+the spec.
 
-The historical per-protocol runners (:func:`run_flood`,
-:func:`run_gossip`, :func:`run_treecast`, :func:`run_unicast`,
-:func:`run_echo`, :func:`run_reliable_flood`, :func:`run_arq_flood`, …)
-remain the convenient call-site API — each is now a thin shim that
-builds a spec and delegates to the dispatcher, returning exactly what
-it always returned.  They are the API the benchmarks, examples and
-integration tests share, so every number in EXPERIMENTS.md traces back
-to one of these runners.
+There is no other way to run an experiment: a single run is
+``run_experiment(ExperimentSpec("flood", graph, source)).result``, a
+batch is :func:`run_experiments`, and seeded repetitions of one
+template spec are :func:`repeat_runs`.  Every number in EXPERIMENTS.md
+traces back to one of these three calls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+import dataclasses
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -120,23 +119,6 @@ class ExperimentSpec:
         """The protocol-specific parameters as a fresh dict."""
         return dict(self.params)
 
-    def with_params(self, **overrides: Any) -> "ExperimentSpec":
-        """A copy of this spec with parameters merged in."""
-        merged = self.params_dict
-        merged.update(overrides)
-        return ExperimentSpec(
-            protocol=self.protocol,
-            graph=self.graph,
-            source=self.source,
-            seed=self.seed,
-            failures=self.failures,
-            latency=self.latency,
-            loss_rate=self.loss_rate,
-            loss_seed=self.loss_seed,
-            fault_model=self.fault_model,
-            params=merged,
-        )
-
 
 @dataclass(frozen=True)
 class RunSummary:
@@ -145,8 +127,10 @@ class RunSummary:
     ``result`` is the :class:`FloodResult` for coverage-style protocols
     (``None`` for point-to-point and report-style experiments);
     ``metrics`` carries protocol-specific extras as a sorted item tuple
-    (``delivered_at`` and ``hops`` for unicast, ``completed`` and
-    ``aggregate`` for echo, …).  Summaries are plain, comparable data —
+    (``delivered_at`` and ``hops`` for unicast; ``completed``,
+    ``completed_at``, ``aggregate``, the ``parent`` tree and the
+    ``pending`` echoes for echo; the ``report`` of the failure-detection
+    and view-change runs; …).  Summaries are plain, comparable data —
     two identical specs must yield equal summaries, which is what the
     parallel-determinism tests pin down.
     """
@@ -175,8 +159,8 @@ class RunSummary:
 # Dispatch machinery
 # ----------------------------------------------------------------------
 
-# name -> handler(spec) -> (RunSummary, raw protocol/report object)
-_HANDLERS: Dict[str, Callable[[ExperimentSpec], Tuple[RunSummary, Any]]] = {}
+# name -> handler(spec) -> RunSummary
+_HANDLERS: Dict[str, Callable[[ExperimentSpec], RunSummary]] = {}
 
 
 def _handler(name: str):
@@ -204,11 +188,6 @@ def run_experiment(spec: ExperimentSpec) -> RunSummary:
         For unknown protocol names, vacuous setups (source crashed at
         start) or exceeded event budgets.
     """
-    summary, _ = _execute(spec)
-    return summary
-
-
-def _execute(spec: ExperimentSpec) -> Tuple[RunSummary, Any]:
     handler = _HANDLERS.get(spec.protocol)
     if handler is None:
         known = ", ".join(experiment_names())
@@ -241,14 +220,20 @@ def _network(
     loss: bool = True,
     faults: bool = True,
 ) -> Network:
-    """Build the network a spec describes and apply its schedule."""
+    """Build the network a spec describes and apply its schedule.
+
+    The network gets its own copy of the spec's latency and fault
+    models: both may carry an RNG or link queues that every message
+    advances, and a run must never advance the spec's objects, or the
+    same spec would give a different result the second time.
+    """
     network = Network(
         spec.graph,
         simulator,
-        latency=spec.latency if latency else None,
+        latency=copy.deepcopy(spec.latency) if latency else None,
         loss_rate=spec.loss_rate if loss else 0.0,
         loss_seed=spec.loss_seed if loss else 0,
-        fault_model=spec.fault_model if faults else None,
+        fault_model=copy.deepcopy(spec.fault_model) if faults else None,
     )
     if schedule is not None:
         apply_schedule(schedule, network, simulator)
@@ -293,14 +278,10 @@ def summarize_run(
 
 
 def _coverage_summary(
-    spec: ExperimentSpec,
-    name: str,
-    schedule: FailureSchedule,
-    network: Network,
-    protocol: Any,
-) -> Tuple[RunSummary, Any]:
+    spec: ExperimentSpec, name: str, schedule: FailureSchedule, network: Network
+) -> RunSummary:
     result = summarize_run(name, spec.graph, spec.source, schedule, network)
-    return RunSummary(protocol=spec.protocol, result=result), protocol
+    return RunSummary(protocol=spec.protocol, result=result)
 
 
 # ----------------------------------------------------------------------
@@ -309,7 +290,7 @@ def _coverage_summary(
 
 
 @_handler("flood")
-def _exec_flood(spec: ExperimentSpec) -> Tuple[RunSummary, Any]:
+def _exec_flood(spec: ExperimentSpec) -> RunSummary:
     schedule = _schedule(spec)
     _guard_source(spec, schedule, "flood")
     simulator = Simulator()
@@ -317,11 +298,11 @@ def _exec_flood(spec: ExperimentSpec) -> Tuple[RunSummary, Any]:
     protocol = FloodProtocol(network, spec.source)
     network.attach(protocol, start_nodes=[spec.source])
     simulator.run(max_events=_event_budget(spec.graph))
-    return _coverage_summary(spec, "flood", schedule, network, protocol)
+    return _coverage_summary(spec, "flood", schedule, network)
 
 
 @_handler("gossip")
-def _exec_gossip(spec: ExperimentSpec) -> Tuple[RunSummary, Any]:
+def _exec_gossip(spec: ExperimentSpec) -> RunSummary:
     schedule = _schedule(spec)
     _guard_source(spec, schedule, "gossip")
     fanout = spec.param("fanout", 2)
@@ -333,11 +314,11 @@ def _exec_gossip(spec: ExperimentSpec) -> Tuple[RunSummary, Any]:
     )
     network.attach(protocol, start_nodes=spec.graph.nodes())
     simulator.run(max_events=_event_budget(spec.graph) * max(1, rounds))
-    return _coverage_summary(spec, "gossip", schedule, network, protocol)
+    return _coverage_summary(spec, "gossip", schedule, network)
 
 
 @_handler("treecast")
-def _exec_treecast(spec: ExperimentSpec) -> Tuple[RunSummary, Any]:
+def _exec_treecast(spec: ExperimentSpec) -> RunSummary:
     schedule = _schedule(spec)
     _guard_source(spec, schedule, "treecast")
     simulator = Simulator()
@@ -345,11 +326,11 @@ def _exec_treecast(spec: ExperimentSpec) -> Tuple[RunSummary, Any]:
     protocol = TreeCastProtocol(network, spec.graph, spec.source)
     network.attach(protocol, start_nodes=[spec.source])
     simulator.run(max_events=_event_budget(spec.graph))
-    return _coverage_summary(spec, "treecast", schedule, network, protocol)
+    return _coverage_summary(spec, "treecast", schedule, network)
 
 
 @_handler("unicast")
-def _exec_unicast(spec: ExperimentSpec) -> Tuple[RunSummary, Any]:
+def _exec_unicast(spec: ExperimentSpec) -> RunSummary:
     from repro.flooding.protocols.unicast import SourceRoutedUnicast
 
     schedule = _schedule(spec)
@@ -358,18 +339,17 @@ def _exec_unicast(spec: ExperimentSpec) -> Tuple[RunSummary, Any]:
     protocol = SourceRoutedUnicast(network, spec.param("path"))
     network.attach(protocol, start_nodes=[protocol.source])
     simulator.run(max_events=_event_budget(spec.graph))
-    summary = RunSummary(
+    return RunSummary(
         protocol=spec.protocol,
         metrics={
             "delivered_at": protocol.delivered_at,
             "hops": protocol.hops_taken,
         },
     )
-    return summary, protocol
 
 
 @_handler("redundant-unicast")
-def _exec_redundant_unicast(spec: ExperimentSpec) -> Tuple[RunSummary, Any]:
+def _exec_redundant_unicast(spec: ExperimentSpec) -> RunSummary:
     from repro.flooding.protocols.unicast import RedundantUnicast
 
     schedule = _schedule(spec)
@@ -378,7 +358,7 @@ def _exec_redundant_unicast(spec: ExperimentSpec) -> Tuple[RunSummary, Any]:
     protocol = RedundantUnicast(network, spec.param("paths"))
     network.attach(protocol, start_nodes=[protocol.source])
     simulator.run(max_events=_event_budget(spec.graph))
-    summary = RunSummary(
+    return RunSummary(
         protocol=spec.protocol,
         metrics={
             "delivered_at": protocol.delivered_at,
@@ -386,11 +366,10 @@ def _exec_redundant_unicast(spec: ExperimentSpec) -> Tuple[RunSummary, Any]:
             "messages": protocol.messages_sent,
         },
     )
-    return summary, protocol
 
 
 @_handler("echo")
-def _exec_echo(spec: ExperimentSpec) -> Tuple[RunSummary, Any]:
+def _exec_echo(spec: ExperimentSpec) -> RunSummary:
     from repro.flooding.protocols.echo import EchoProtocol
 
     schedule = _schedule(spec)
@@ -405,18 +384,20 @@ def _exec_echo(spec: ExperimentSpec) -> Tuple[RunSummary, Any]:
     )
     network.attach(protocol, start_nodes=[spec.source])
     simulator.run(max_events=_event_budget(spec.graph))
-    summary = RunSummary(
+    return RunSummary(
         protocol=spec.protocol,
         metrics={
             "completed": protocol.completed,
+            "completed_at": protocol.completed_at,
             "aggregate": protocol.aggregate,
+            "parent": dict(protocol.parent),
+            "pending": protocol.echoes_pending(),
         },
     )
-    return summary, protocol
 
 
 @_handler("reliable-flood")
-def _exec_reliable_flood(spec: ExperimentSpec) -> Tuple[RunSummary, Any]:
+def _exec_reliable_flood(spec: ExperimentSpec) -> RunSummary:
     from repro.flooding.protocols.reliable import ReliableFloodProtocol
 
     schedule = _schedule(spec)
@@ -432,11 +413,11 @@ def _exec_reliable_flood(spec: ExperimentSpec) -> Tuple[RunSummary, Any]:
     )
     network.attach(protocol, start_nodes=[spec.source])
     simulator.run(max_events=_event_budget(spec.graph) * (max_retries + 2))
-    return _coverage_summary(spec, "reliable-flood", schedule, network, protocol)
+    return _coverage_summary(spec, "reliable-flood", schedule, network)
 
 
 @_handler("arq-flood")
-def _exec_arq_flood(spec: ExperimentSpec) -> Tuple[RunSummary, Any]:
+def _exec_arq_flood(spec: ExperimentSpec) -> RunSummary:
     from repro.flooding.protocols.arq import ArqProtocol
     from repro.flooding.protocols.reliable import ReliableFloodProtocol
 
@@ -464,11 +445,11 @@ def _exec_arq_flood(spec: ExperimentSpec) -> Tuple[RunSummary, Any]:
     simulator.run(
         max_events=_event_budget(spec.graph) * (max_retries + inner_retries + 4)
     )
-    return _coverage_summary(spec, "arq-reliable-flood", schedule, network, protocol)
+    return _coverage_summary(spec, "arq-reliable-flood", schedule, network)
 
 
 @_handler("broadcast-stream")
-def _exec_broadcast_stream(spec: ExperimentSpec) -> Tuple[RunSummary, Any]:
+def _exec_broadcast_stream(spec: ExperimentSpec) -> RunSummary:
     from repro.flooding.protocols.flood import StreamFloodProtocol
 
     count = spec.param("count", 1)
@@ -479,7 +460,7 @@ def _exec_broadcast_stream(spec: ExperimentSpec) -> Tuple[RunSummary, Any]:
     )
     network.attach(protocol, start_nodes=[spec.source])
     simulator.run(max_events=_event_budget(spec.graph) * max(1, count))
-    summary = RunSummary(
+    return RunSummary(
         protocol=spec.protocol,
         metrics={
             "makespan": protocol.makespan(),
@@ -489,11 +470,10 @@ def _exec_broadcast_stream(spec: ExperimentSpec) -> Tuple[RunSummary, Any]:
             "messages": network.stats.messages_sent,
         },
     )
-    return summary, protocol
 
 
 @_handler("failure-detection")
-def _exec_failure_detection(spec: ExperimentSpec) -> Tuple[RunSummary, Any]:
+def _exec_failure_detection(spec: ExperimentSpec) -> RunSummary:
     from repro.flooding.protocols.heartbeat import HeartbeatProtocol
 
     crashed = tuple(spec.param("crashed", ()))
@@ -512,12 +492,11 @@ def _exec_failure_detection(spec: ExperimentSpec) -> Tuple[RunSummary, Any]:
     network.attach(protocol)
     simulator.run(max_events=10_000_000)
     report = protocol.detection_report(set(crashed), crash_time)
-    summary = RunSummary(protocol=spec.protocol, metrics={"report": report})
-    return summary, report
+    return RunSummary(protocol=spec.protocol, metrics={"report": report})
 
 
 @_handler("view-change")
-def _exec_view_change(spec: ExperimentSpec) -> Tuple[RunSummary, Any]:
+def _exec_view_change(spec: ExperimentSpec) -> RunSummary:
     from repro.flooding.protocols.viewchange import ViewChangeProtocol
 
     # insertion-ordered dedup: crash-event order must follow the spec,
@@ -542,350 +521,7 @@ def _exec_view_change(spec: ExperimentSpec) -> Tuple[RunSummary, Any]:
     network.attach(protocol)
     simulator.run(max_events=20_000_000)
     report = protocol.convergence_report(set(crashed), crash_time)
-    summary = RunSummary(protocol=spec.protocol, metrics={"report": report})
-    return summary, report
-
-
-# ----------------------------------------------------------------------
-# Per-protocol runner shims (the historical convenience API)
-# ----------------------------------------------------------------------
-
-
-def run_flood(
-    graph: Graph,
-    source: NodeId,
-    failures: Optional[FailureSchedule] = None,
-    latency: Optional[LatencyModel] = None,
-    loss_rate: float = 0.0,
-    loss_seed: int = 0,
-    fault_model: Optional[FaultModel] = None,
-) -> FloodResult:
-    """Flood ``graph`` from ``source`` under a failure schedule.
-
-    Raises
-    ------
-    SimulationError
-        If the source is scheduled to crash at time 0 (the experiment
-        would be vacuous) or the event budget is exceeded.
-    """
-    spec = ExperimentSpec(
-        protocol="flood",
-        graph=graph,
-        source=source,
-        failures=failures,
-        latency=latency,
-        loss_rate=loss_rate,
-        loss_seed=loss_seed,
-        fault_model=fault_model,
-    )
-    return run_experiment(spec).result
-
-
-def run_gossip(
-    graph: Graph,
-    source: NodeId,
-    fanout: int = 2,
-    rounds: int = 16,
-    failures: Optional[FailureSchedule] = None,
-    latency: Optional[LatencyModel] = None,
-    seed: int = 0,
-    loss_rate: float = 0.0,
-    loss_seed: int = 0,
-) -> FloodResult:
-    """Push-gossip ``graph`` from ``source`` (probabilistic baseline)."""
-    spec = ExperimentSpec(
-        protocol="gossip",
-        graph=graph,
-        source=source,
-        seed=seed,
-        failures=failures,
-        latency=latency,
-        loss_rate=loss_rate,
-        loss_seed=loss_seed,
-        params={"fanout": fanout, "rounds": rounds},
-    )
-    return run_experiment(spec).result
-
-
-def run_treecast(
-    graph: Graph,
-    source: NodeId,
-    failures: Optional[FailureSchedule] = None,
-    latency: Optional[LatencyModel] = None,
-    loss_rate: float = 0.0,
-    loss_seed: int = 0,
-) -> FloodResult:
-    """Broadcast over a precomputed BFS spanning tree (fragile baseline)."""
-    spec = ExperimentSpec(
-        protocol="treecast",
-        graph=graph,
-        source=source,
-        failures=failures,
-        latency=latency,
-        loss_rate=loss_rate,
-        loss_seed=loss_seed,
-    )
-    return run_experiment(spec).result
-
-
-def run_unicast(
-    graph: Graph,
-    path,
-    failures: Optional[FailureSchedule] = None,
-    latency: Optional[LatencyModel] = None,
-) -> Tuple[Optional[float], int]:
-    """Send one source-routed unicast along ``path``.
-
-    Returns ``(delivery_time, hops_taken)``; the time is ``None`` when a
-    failure severed the route.
-    """
-    spec = ExperimentSpec(
-        protocol="unicast",
-        graph=graph,
-        failures=failures,
-        latency=latency,
-        params={"path": path},
-    )
-    summary = run_experiment(spec)
-    return summary.metric("delivered_at"), summary.metric("hops")
-
-
-def run_redundant_unicast(
-    graph: Graph,
-    paths,
-    failures: Optional[FailureSchedule] = None,
-    latency: Optional[LatencyModel] = None,
-) -> Tuple[Optional[float], int, int]:
-    """Send one unicast along several disjoint paths simultaneously.
-
-    Returns ``(first_delivery_time, copies_received, messages_sent)``.
-    """
-    spec = ExperimentSpec(
-        protocol="redundant-unicast",
-        graph=graph,
-        failures=failures,
-        latency=latency,
-        params={"paths": paths},
-    )
-    summary = run_experiment(spec)
-    return (
-        summary.metric("delivered_at"),
-        summary.metric("copies"),
-        summary.metric("messages"),
-    )
-
-
-def run_failure_detection(
-    graph: Graph,
-    crashed,
-    crash_time: float,
-    period: float = 1.0,
-    timeout: float = 3.5,
-    horizon: float = 40.0,
-    latency: Optional[LatencyModel] = None,
-    loss_rate: float = 0.0,
-    loss_seed: int = 0,
-):
-    """Run the heartbeat detector against a timed crash set.
-
-    Returns a
-    :class:`~repro.flooding.protocols.heartbeat.DetectionReport`.
-    """
-    spec = ExperimentSpec(
-        protocol="failure-detection",
-        graph=graph,
-        latency=latency,
-        loss_rate=loss_rate,
-        loss_seed=loss_seed,
-        params={
-            "crashed": tuple(crashed),
-            "crash_time": crash_time,
-            "period": period,
-            "timeout": timeout,
-            "horizon": horizon,
-        },
-    )
-    return run_experiment(spec).metric("report")
-
-
-def run_broadcast_stream(
-    graph: Graph,
-    source: NodeId,
-    count: int,
-    latency: Optional[LatencyModel] = None,
-    interval: float = 0.0,
-):
-    """Flood ``count`` messages back-to-back; return (makespan, covered, msgs).
-
-    ``covered`` is True when every message reached every node.  Pair
-    with :class:`~repro.flooding.network.BandwidthLatency` to measure
-    sustained broadcast throughput (experiment T6).
-    """
-    spec = ExperimentSpec(
-        protocol="broadcast-stream",
-        graph=graph,
-        source=source,
-        latency=latency,
-        params={"count": count, "interval": interval},
-    )
-    summary = run_experiment(spec)
-    return (
-        summary.metric("makespan"),
-        summary.metric("fully_covered"),
-        summary.metric("messages"),
-    )
-
-
-def run_echo(
-    graph: Graph,
-    source: NodeId,
-    failures: Optional[FailureSchedule] = None,
-    latency: Optional[LatencyModel] = None,
-    value_of=lambda node: 1,
-    combine=lambda a, b: a + b,
-):
-    """Run flood-and-echo (PIF) from ``source``.
-
-    Returns the :class:`~repro.flooding.protocols.echo.EchoProtocol`
-    instance so callers can inspect completion, the aggregate, the
-    implicit spanning tree, and pending echoes (under failures the
-    protocol legitimately never completes).
-
-    Raises
-    ------
-    SimulationError
-        If the source is crashed at start.
-    """
-    spec = ExperimentSpec(
-        protocol="echo",
-        graph=graph,
-        source=source,
-        failures=failures,
-        latency=latency,
-        params={"value_of": value_of, "combine": combine},
-    )
-    _, protocol = _execute(spec)
-    return protocol
-
-
-def run_reliable_flood(
-    graph: Graph,
-    source: NodeId,
-    failures: Optional[FailureSchedule] = None,
-    loss_rate: float = 0.0,
-    loss_seed: int = 0,
-    retry_timeout: float = 3.0,
-    max_retries: int = 8,
-    fault_model: Optional[FaultModel] = None,
-) -> FloodResult:
-    """Flood with per-link ACK/retransmission over lossy links.
-
-    Raises
-    ------
-    SimulationError
-        If the source is crashed at start.
-    """
-    spec = ExperimentSpec(
-        protocol="reliable-flood",
-        graph=graph,
-        source=source,
-        failures=failures,
-        loss_rate=loss_rate,
-        loss_seed=loss_seed,
-        fault_model=fault_model,
-        params={"retry_timeout": retry_timeout, "max_retries": max_retries},
-    )
-    return run_experiment(spec).result
-
-
-def run_arq_flood(
-    graph: Graph,
-    source: NodeId,
-    failures: Optional[FailureSchedule] = None,
-    latency: Optional[LatencyModel] = None,
-    loss_rate: float = 0.0,
-    loss_seed: int = 0,
-    fault_model: Optional[FaultModel] = None,
-    base_timeout: float = 2.5,
-    backoff: float = 2.0,
-    max_timeout: float = 16.0,
-    max_retries: int = 10,
-    retry_timeout: float = 3.0,
-    inner_retries: int = 8,
-) -> FloodResult:
-    """Reliable flooding *wrapped in the generic ARQ layer*.
-
-    The inner protocol is
-    :class:`~repro.flooding.protocols.reliable.ReliableFloodProtocol`
-    (parameters ``retry_timeout`` / ``inner_retries``); every inner send
-    rides an :class:`~repro.flooding.protocols.arq.ArqProtocol` frame
-    with exponential backoff, so coverage converges through flapping
-    links, transient partitions and crash-recovery outages that exhaust
-    the inner protocol's fixed retry window.
-
-    Raises
-    ------
-    SimulationError
-        If the source is crashed at start.
-    """
-    spec = ExperimentSpec(
-        protocol="arq-flood",
-        graph=graph,
-        source=source,
-        failures=failures,
-        latency=latency,
-        loss_rate=loss_rate,
-        loss_seed=loss_seed,
-        fault_model=fault_model,
-        params={
-            "base_timeout": base_timeout,
-            "backoff": backoff,
-            "max_timeout": max_timeout,
-            "max_retries": max_retries,
-            "retry_timeout": retry_timeout,
-            "inner_retries": inner_retries,
-        },
-    )
-    return run_experiment(spec).result
-
-
-def run_view_change(
-    graph: Graph,
-    coordinator: NodeId,
-    crashed,
-    crash_time: float,
-    period: float = 1.0,
-    timeout: float = 3.5,
-    decision_delay: float = 2.0,
-    horizon: float = 60.0,
-    latency: Optional[LatencyModel] = None,
-):
-    """Run the in-band view-change pipeline against a timed crash burst.
-
-    Returns a
-    :class:`~repro.flooding.protocols.viewchange.ViewChangeReport`.
-
-    Raises
-    ------
-    SimulationError
-        If the coordinator is among the crashed set (fail-over is out of
-        scope for this protocol).
-    """
-    spec = ExperimentSpec(
-        protocol="view-change",
-        graph=graph,
-        source=coordinator,
-        latency=latency,
-        params={
-            "crashed": tuple(crashed),
-            "crash_time": crash_time,
-            "period": period,
-            "timeout": timeout,
-            "decision_delay": decision_delay,
-            "horizon": horizon,
-        },
-    )
-    return run_experiment(spec).metric("report")
+    return RunSummary(protocol=spec.protocol, metrics={"report": report})
 
 
 # ----------------------------------------------------------------------
@@ -907,16 +543,20 @@ def run_experiments(
     The batch equivalent of ``pool.map(run_experiment, specs)`` with the
     engine's fault-tolerance knobs attached:
 
-    * ``workers`` fans the batch across processes (results identical to
-      the serial loop for any count);
+    * ``workers`` fans the batch across processes; a run is a pure
+      function of its spec, so every worker count gives the serial
+      result;
     * ``timeout`` / ``retries`` give each run a wall-clock budget and
       retries with deterministic backoff;
     * ``checkpoint`` / ``resume`` journal each completed summary to an
       append-only JSONL file so an interrupted batch resumes without
       recomputation, byte-identical to an uninterrupted one.  Journal
       keys combine each spec's position, protocol, topology size,
-      source, seed, loss settings, failure schedule and protocol
-      params, so resuming expects the same spec list.
+      source, seed, loss settings, failure schedule, protocol params
+      and the latency and fault models' :meth:`identity`, so resuming
+      expects the same spec list.  A spec whose model has no stable
+      identity (``identity()`` is ``None``) is never journaled: a
+      resume recomputes it.
 
     A run that fails for good aborts the batch: when it raised, its own
     exception is re-raised with the remote traceback attached; a
@@ -929,8 +569,15 @@ def run_experiments(
     if labels is None:
         labels = [f"{spec.protocol}/{i}" for i, spec in enumerate(specs)]
 
-    def key(index: int) -> str:
+    def key(index: int) -> Optional[str]:
         spec = specs[index]
+        models = [
+            model.identity()
+            for model in (spec.latency, spec.fault_model)
+            if model is not None
+        ]
+        if None in models:
+            return None
         return checkpoint_key(
             "experiment",
             index,
@@ -944,6 +591,7 @@ def run_experiments(
             spec.loss_seed,
             spec.params,
             spec.failures,
+            *models,
         )
 
     summaries, _, _ = resume_map(
@@ -964,116 +612,47 @@ def run_experiments(
 # Repetition harness
 # ----------------------------------------------------------------------
 
-# runner -> (protocol name, names of runner kwargs that map onto spec
-# fields rather than protocol params)
-_SPEC_FIELD_KWARGS = ("failures", "latency", "loss_rate", "loss_seed", "fault_model")
-_RUNNER_PROTOCOLS: Dict[Any, str] = {}
-
-
-def _register_runner_protocols() -> None:
-    _RUNNER_PROTOCOLS.update(
-        {
-            run_flood: "flood",
-            run_gossip: "gossip",
-            run_treecast: "treecast",
-            run_reliable_flood: "reliable-flood",
-            run_arq_flood: "arq-flood",
-        }
-    )
-
-
-_register_runner_protocols()
-
-
-def _spec_for_runner(
-    runner, graph: Graph, source: NodeId, schedule, kwargs: Dict[str, Any]
-) -> ExperimentSpec:
-    """Convert a (runner, kwargs) call into the equivalent spec."""
-    protocol = _RUNNER_PROTOCOLS[runner]
-    fields = {k: v for k, v in kwargs.items() if k in _SPEC_FIELD_KWARGS}
-    params = {
-        k: v
-        for k, v in kwargs.items()
-        if k not in _SPEC_FIELD_KWARGS and k != "seed"
-    }
-    return ExperimentSpec(
-        protocol=protocol,
-        graph=graph,
-        source=source,
-        seed=kwargs.get("seed", 0),
-        failures=schedule,
-        params=params,
-        **{k: v for k, v in fields.items() if k != "failures"},
-    )
-
 
 def repeat_runs(
-    runner,
-    graph: Graph,
-    source: NodeId,
-    schedule_factory,
+    spec: ExperimentSpec,
+    schedule_factory: Optional[Callable[[int], Optional[FailureSchedule]]],
     repetitions: int,
+    *,
     workers: Optional[int] = None,
     timeout: Optional[float] = None,
     retries: Optional[int] = None,
     checkpoint: Any = None,
     resume: bool = False,
-    **runner_kwargs,
 ) -> ResultAggregate:
-    """Run ``runner`` over seeded failure schedules and aggregate.
+    """Run a template spec over seeded failure schedules and aggregate.
 
-    Parameters
-    ----------
-    runner:
-        A registered runner: :func:`run_flood`, :func:`run_gossip`,
-        :func:`run_treecast`, :func:`run_reliable_flood` or
-        :func:`run_arq_flood`.  Each repetition runs as the equivalent
-        :class:`ExperimentSpec` through :func:`run_experiments`.
-    schedule_factory:
-        ``seed -> FailureSchedule`` (or ``None`` for failure-free runs).
-    repetitions:
-        Number of seeds (0, 1, 2, …).
-    workers:
-        Fan the repetitions out across this many worker processes via
-        the execution engine (:mod:`repro.exec`).  ``None``/``1`` run
-        serially; any value yields results identical to the serial
-        loop (schedules are derived per seed in the parent, and every
-        run is a pure function of its spec).
-    timeout / retries / checkpoint / resume:
-        Fault-tolerance knobs forwarded to :func:`run_experiments`:
-        per-repetition wall-clock budget, bounded retries, and
-        journal-based resume of interrupted repetition batches.
-    runner_kwargs:
-        Extra keyword arguments forwarded to the runner.  For
-        :func:`run_gossip` a ``seed`` kwarg is injected per repetition
-        unless already fixed by the caller; likewise a fresh
-        ``loss_seed`` is injected per repetition whenever a non-zero
-        ``loss_rate`` is requested without a pinned seed.
+    Repetition ``i`` (for ``i`` in 0, 1, 2, …) runs
+    ``dataclasses.replace(spec, failures=schedule_factory(i), seed=i,
+    loss_seed=i)`` — the schedule is ``None`` without a factory — and
+    every repetition goes through :func:`run_experiments`.  The template
+    must name a coverage protocol (one whose summary carries a
+    :class:`FloodResult`): ``flood``, ``gossip``, ``treecast``,
+    ``reliable-flood`` or ``arq-flood``.
+
+    ``workers`` fans the repetitions out across worker processes;
+    schedules are derived per seed in the parent and each run is a pure
+    function of its spec, so any worker count gives the serial result.
+    ``timeout`` / ``retries`` / ``checkpoint`` / ``resume`` are
+    forwarded to :func:`run_experiments`.
     """
-    if runner not in _RUNNER_PROTOCOLS:
-        raise ValueError(
-            "repeat_runs needs a registered runner "
-            "(run_flood, run_gossip, run_treecast, run_reliable_flood, "
-            "run_arq_flood)"
+    specs = [
+        dataclasses.replace(
+            spec,
+            failures=schedule_factory(i) if schedule_factory else None,
+            seed=i,
+            loss_seed=i,
         )
-    inject_seed = runner is run_gossip and "seed" not in runner_kwargs
-    inject_loss_seed = (
-        runner_kwargs.get("loss_rate", 0.0) and "loss_seed" not in runner_kwargs
-    )
-
-    specs = []
-    for seed in range(repetitions):
-        schedule = schedule_factory(seed) if schedule_factory else None
-        kwargs = dict(runner_kwargs)
-        if inject_seed:
-            kwargs["seed"] = seed
-        if inject_loss_seed:
-            kwargs["loss_seed"] = seed
-        specs.append(_spec_for_runner(runner, graph, source, schedule, kwargs))
+        for i in range(repetitions)
+    ]
     summaries = run_experiments(
         specs,
         workers=workers,
-        labels=[f"{spec.protocol}/rep{i}" for i, spec in enumerate(specs)],
+        labels=[f"{spec.protocol}/rep{i}" for i in range(repetitions)],
         timeout=timeout,
         retries=retries,
         checkpoint=checkpoint,

@@ -488,21 +488,10 @@ def survivors(graph, schedule: FailureSchedule):
     leaves the node (link) in the survivor graph.  This is the ground
     truth the metrics layer uses to compute *reachable* coverage.
 
-    Mutable dict-of-sets :class:`Graph` inputs return a cut-down
-    ``Graph`` copy, as always.  Read-only oracle backends (CSR,
-    implicit JD, another view) return a lazy
-    :class:`~repro.graphs.faultview.FaultView` instead — O(#failures)
-    state, so million-node survivor topologies cost nothing to build.
+    Every backend (dict :class:`Graph`, CSR, implicit JD, another view)
+    returns a lazy :class:`~repro.graphs.faultview.FaultView` over the
+    input — O(#failures) state, so no survivor topology is ever copied.
     """
-    down_nodes = _final_down_nodes(schedule)
-    down_links = _final_down_links(schedule)
-    if not hasattr(graph, "without_nodes"):
-        from repro.graphs.faultview import FaultView
+    from repro.graphs.faultview import FaultView
 
-        return FaultView(graph, down_nodes, down_links)
-    remaining = graph.without_nodes(down_nodes & set(graph.nodes()))
-    for key in down_links:
-        endpoints = sorted(key, key=repr)
-        if len(endpoints) == 2 and remaining.has_edge(*endpoints):
-            remaining.remove_edge(*endpoints)
-    return remaining
+    return FaultView(graph, _final_down_nodes(schedule), _final_down_links(schedule))

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Mapping, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.graphs.graph import edge_key
@@ -43,6 +43,15 @@ class FaultModel:
     def copies(self, u: NodeId, v: NodeId) -> List[float]:
         """Extra delays, one per delivered copy (empty list = drop)."""
         return [0.0]
+
+    def identity(self) -> Optional[Tuple[Any, ...]]:
+        """Class name plus constructor parameters, or ``None``.
+
+        The same contract as
+        :meth:`~repro.flooding.network.LatencyModel.identity`: a stable
+        rendering for checkpoint keys, ``None`` when there is none.
+        """
+        return None
 
 
 @dataclass(frozen=True)
@@ -129,6 +138,16 @@ class RandomFaultModel(FaultModel):
         if profile.duplicate and self._rng.random() < profile.duplicate:
             delays.append(self._copy_delay(profile))
         return delays
+
+    def identity(self) -> Optional[Tuple[Any, ...]]:
+        per_link = sorted(
+            (
+                (tuple(sorted(link, key=repr)), profile)
+                for link, profile in self._per_link.items()
+            ),
+            key=repr,
+        )
+        return (type(self).__name__, self.profile, tuple(per_link), self.seed)
 
 
 def lossy_links(rate: float, seed: int = 0) -> RandomFaultModel:

@@ -61,6 +61,17 @@ class LatencyModel:
         """Latency for a message entering link (u, v) at time ``now``."""
         return self.sample(u, v)
 
+    def identity(self) -> Optional[Tuple[Any, ...]]:
+        """Class name plus constructor parameters, or ``None``.
+
+        A stable rendering of the model for checkpoint keys: never RNG
+        state, queue state or an object address.  ``None`` (the
+        default) means the model has none, so a journaled run that used
+        it is recomputed on resume.  A subclass that adds constructor
+        parameters must override this.
+        """
+        return None
+
 
 class ConstantLatency(LatencyModel):
     """Every link takes exactly ``value`` time units (default 1 hop)."""
@@ -73,6 +84,9 @@ class ConstantLatency(LatencyModel):
     def sample(self, u: NodeId, v: NodeId) -> float:
         return self.value
 
+    def identity(self) -> Optional[Tuple[Any, ...]]:
+        return (type(self).__name__, self.value)
+
 
 class UniformLatency(LatencyModel):
     """Latency uniform in [low, high]; deterministic in the seed."""
@@ -82,10 +96,14 @@ class UniformLatency(LatencyModel):
             raise SimulationError(f"need 0 < low <= high, got [{low}, {high}]")
         self.low = low
         self.high = high
+        self.seed = seed
         self._rng = random.Random(seed)
 
     def sample(self, u: NodeId, v: NodeId) -> float:
         return self._rng.uniform(self.low, self.high)
+
+    def identity(self) -> Optional[Tuple[Any, ...]]:
+        return (type(self).__name__, self.low, self.high, self.seed)
 
 
 class ExponentialLatency(LatencyModel):
@@ -96,10 +114,14 @@ class ExponentialLatency(LatencyModel):
             raise SimulationError("base and mean must be positive")
         self.base = base
         self.mean = mean
+        self.seed = seed
         self._rng = random.Random(seed)
 
     def sample(self, u: NodeId, v: NodeId) -> float:
         return self.base + self._rng.expovariate(1.0 / self.mean)
+
+    def identity(self) -> Optional[Tuple[Any, ...]]:
+        return (type(self).__name__, self.base, self.mean, self.seed)
 
 
 class FixedLinkLatency(LatencyModel):
@@ -153,6 +175,9 @@ class BandwidthLatency(LatencyModel):
         finish = start + self.service
         self._busy_until[(u, v)] = finish
         return (finish - now) + self.propagation
+
+    def identity(self) -> Optional[Tuple[Any, ...]]:
+        return (type(self).__name__, self.service, self.propagation)
 
 
 class Protocol:

@@ -32,7 +32,6 @@ from repro.flooding.protocols.reliable import ReliableFloodProtocol
 from repro.flooding.rounds import round_flood
 from repro.flooding.simulator import Simulator
 from repro.flooding.trace import TraceCollector
-from repro.graphs.faultview import FaultView
 from repro.graphs.graph import Graph
 from repro.robustness.invariants import (
     InvariantViolation,
@@ -509,7 +508,8 @@ class ChaosCampaign:
         uniform loss knob (anything richer is refused loudly — see
         :func:`_round_loss`).  Afterwards the damaged topology is
         recertified from its :class:`~repro.graphs.faultview.FaultView`
-        whenever the topology row was given as a spec (so k is known).
+        whenever the topology row was given as a spec (so k is known)
+        with an oracle backend (``"implicit"`` or ``"csr"``).
 
         Coverage is enforced only where it is a theorem: zero loss and
         a monotone schedule (no recoveries).  With recoveries or loss a
@@ -552,11 +552,13 @@ class ChaosCampaign:
                 )
             )
         topo_spec = self._spec_for(topology_name)
-        if topo_spec is not None:
-            view = survivors(graph, setup.schedule)
-            if isinstance(view, FaultView):
-                with obs.span("invariant-check"):
-                    violations.extend(recertify_survivors(view, topo_spec.k))
+        if topo_spec is not None and topo_spec.backend != "dict":
+            with obs.span("invariant-check"):
+                violations.extend(
+                    recertify_survivors(
+                        survivors(graph, setup.schedule), topo_spec.k
+                    )
+                )
         obs.counter("campaign.cells")
         if violations:
             obs.counter("campaign.violations", len(violations))

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.existence import build_lhg
 from repro.errors import ProtocolError, SimulationError
-from repro.flooding.experiments import run_arq_flood, run_reliable_flood
+from repro.flooding.experiments import ExperimentSpec, run_experiment
 from repro.flooding.failures import crash_and_recover, flapping_links
 from repro.flooding.network import Network, NodeApi, Protocol
 from repro.flooding.protocols.arq import ArqAck, ArqData, ArqProtocol
@@ -159,7 +159,9 @@ class TestEndToEnd:
     def test_arq_flood_full_coverage_under_loss(self):
         graph, _ = build_lhg(24, 3)
         source = graph.nodes()[0]
-        result = run_arq_flood(graph, source, loss_rate=0.3, loss_seed=5)
+        result = run_experiment(
+            ExperimentSpec("arq-flood", graph, source, loss_rate=0.3, loss_seed=5)
+        ).result
         assert result.fully_covered
 
     def test_arq_beats_plain_across_long_outage(self):
@@ -167,8 +169,12 @@ class TestEndToEnd:
         source = graph.nodes()[0]
         victims = [v for v in graph.nodes() if v != source][:3]
         schedule = crash_and_recover(victims, crash_at=0.5, recover_at=35.0)
-        plain = run_reliable_flood(graph, source, failures=schedule)
-        arq = run_arq_flood(graph, source, failures=schedule)
+        plain = run_experiment(
+            ExperimentSpec("reliable-flood", graph, source, failures=schedule)
+        ).result
+        arq = run_experiment(
+            ExperimentSpec("arq-flood", graph, source, failures=schedule)
+        ).result
         assert arq.fully_covered
         assert arq.covered >= plain.covered
 
@@ -180,7 +186,9 @@ class TestEndToEnd:
         schedule = flapping_links(
             links, period=50.0, down_for=32.0, start=0.5, cycles=2
         )
-        result = run_arq_flood(graph, source, failures=schedule)
+        result = run_experiment(
+            ExperimentSpec("arq-flood", graph, source, failures=schedule)
+        ).result
         assert result.fully_covered
 
     def test_crashed_source_rejected(self):
@@ -189,12 +197,15 @@ class TestEndToEnd:
         from repro.flooding.failures import crash_before_start
 
         with pytest.raises(SimulationError):
-            run_arq_flood(graph, source, failures=crash_before_start([source]))
+            run_experiment(ExperimentSpec(
+                "arq-flood", graph, source, failures=crash_before_start([source]),
+            ))
 
     def test_deterministic(self):
         graph, _ = build_lhg(24, 3)
         source = graph.nodes()[0]
-        a = run_arq_flood(graph, source, loss_rate=0.3, loss_seed=9)
-        b = run_arq_flood(graph, source, loss_rate=0.3, loss_seed=9)
+        spec = ExperimentSpec("arq-flood", graph, source, loss_rate=0.3, loss_seed=9)
+        a = run_experiment(spec).result
+        b = run_experiment(spec).result
         assert a.delivery_times == b.delivery_times
         assert a.messages == b.messages

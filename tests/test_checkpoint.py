@@ -197,7 +197,7 @@ class TestExperimentResume:
 
     def test_repeat_runs_checkpoint_matches_plain(self, tmp_path):
         from repro.core.existence import build_lhg
-        from repro.flooding.experiments import repeat_runs, run_flood
+        from repro.flooding.experiments import ExperimentSpec, repeat_runs
         from repro.flooding.failures import random_crashes
 
         graph, _ = build_lhg(14, 3)
@@ -206,11 +206,9 @@ class TestExperimentResume:
         def schedule_factory(seed):
             return random_crashes(graph, 2, seed=seed, protect={source})
 
-        plain = repeat_runs(run_flood, graph, source, schedule_factory, 4)
+        plain = repeat_runs(ExperimentSpec("flood", graph, source), schedule_factory, 4)
         journaled = repeat_runs(
-            run_flood,
-            graph,
-            source,
+            ExperimentSpec("flood", graph, source),
             schedule_factory,
             4,
             checkpoint=tmp_path / "reps.jsonl",
@@ -226,19 +224,28 @@ class TestExperimentResume:
         # the journal of a fanout-1 gossip batch must not answer for a
         # fanout-3 one: protocol params are part of the journal key
         from repro.core.existence import build_lhg
-        from repro.flooding.experiments import repeat_runs, run_gossip
+        from repro.flooding.experiments import ExperimentSpec, repeat_runs
 
         graph, _ = build_lhg(32, 3)
         source = graph.nodes()[0]
         path = tmp_path / "gossip.jsonl"
         repeat_runs(
-            run_gossip, graph, source, None, 3, fanout=1, rounds=2,
+            ExperimentSpec("gossip", graph, source, params={"fanout": 1, "rounds": 2}),
+            None,
+            3,
             checkpoint=path,
         )
-        fresh = repeat_runs(run_gossip, graph, source, None, 3, fanout=3, rounds=8)
+        fresh = repeat_runs(
+            ExperimentSpec("gossip", graph, source, params={"fanout": 3, "rounds": 8}),
+            None,
+            3,
+        )
         resumed = repeat_runs(
-            run_gossip, graph, source, None, 3, fanout=3, rounds=8,
-            checkpoint=path, resume=True,
+            ExperimentSpec("gossip", graph, source, params={"fanout": 3, "rounds": 8}),
+            None,
+            3,
+            checkpoint=path,
+            resume=True,
         )
         assert [(r.covered, r.messages) for r in resumed.results] == [
             (r.covered, r.messages) for r in fresh.results
@@ -248,7 +255,7 @@ class TestExperimentResume:
         # likewise the failure schedule: a journal of failure-free runs
         # must not answer for runs under crashes
         from repro.core.existence import build_lhg
-        from repro.flooding.experiments import repeat_runs, run_flood
+        from repro.flooding.experiments import ExperimentSpec, repeat_runs
         from repro.flooding.failures import random_crashes
 
         graph, _ = build_lhg(32, 3)
@@ -258,29 +265,18 @@ class TestExperimentResume:
             return random_crashes(graph, 2, seed=seed, protect={source})
 
         path = tmp_path / "flood.jsonl"
-        repeat_runs(run_flood, graph, source, None, 3, checkpoint=path)
-        fresh = repeat_runs(run_flood, graph, source, crashes, 3)
+        repeat_runs(ExperimentSpec("flood", graph, source), None, 3, checkpoint=path)
+        fresh = repeat_runs(ExperimentSpec("flood", graph, source), crashes, 3)
         resumed = repeat_runs(
-            run_flood, graph, source, crashes, 3, checkpoint=path, resume=True
+            ExperimentSpec("flood", graph, source),
+            crashes,
+            3,
+            checkpoint=path,
+            resume=True,
         )
         assert [(r.covered, r.messages) for r in resumed.results] == [
             (r.covered, r.messages) for r in fresh.results
         ]
-
-    def test_supervision_needs_a_registered_runner(self):
-        from repro.core.existence import build_lhg
-        from repro.flooding.experiments import repeat_runs
-
-        graph, _ = build_lhg(14, 3)
-        source = graph.nodes()[0]
-
-        def unregistered_runner(graph, source, failures=None):
-            raise AssertionError("never reached")
-
-        with pytest.raises(ValueError, match="registered runner"):
-            repeat_runs(
-                unregistered_runner, graph, source, None, 2, retries=1
-            )
 
 
 class TestCampaignResume:

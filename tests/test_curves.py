@@ -9,7 +9,7 @@ from repro.analysis.curves import (
     time_to_fraction,
 )
 from repro.core.existence import build_lhg
-from repro.flooding.experiments import run_flood
+from repro.flooding.experiments import ExperimentSpec, run_experiment
 from repro.flooding.metrics import FloodResult
 from repro.graphs.generators.classic import path_graph
 
@@ -52,7 +52,7 @@ class TestCoverageCurve:
 
     def test_matches_real_flood(self):
         g = path_graph(6)
-        result = run_flood(g, 0)
+        result = run_experiment(ExperimentSpec("flood", g, 0)).result
         curve = coverage_curve(result, buckets=5)
         # on a path, coverage grows linearly: at t=T the fraction is 1
         assert curve[-1][1] == 1.0
@@ -79,8 +79,10 @@ class TestTimeToFraction:
 
         n, k = 126, 4
         lhg, _ = build_lhg(n, k)
-        lhg_half = time_to_fraction(run_flood(lhg, lhg.nodes()[0]), 0.5)
-        harary_half = time_to_fraction(run_flood(harary_graph(k, n), 0), 0.5)
+        lhg_flood = run_experiment(ExperimentSpec("flood", lhg, lhg.nodes()[0]))
+        harary_flood = run_experiment(ExperimentSpec("flood", harary_graph(k, n), 0))
+        lhg_half = time_to_fraction(lhg_flood.result, 0.5)
+        harary_half = time_to_fraction(harary_flood.result, 0.5)
         assert lhg_half < harary_half
 
 

@@ -3,12 +3,7 @@
 import hashlib
 
 from repro.core.existence import build_lhg
-from repro.flooding.experiments import (
-    run_failure_detection,
-    run_flood,
-    run_gossip,
-    run_treecast,
-)
+from repro.flooding.experiments import ExperimentSpec, run_experiment
 from repro.flooding.failures import (
     apply_schedule,
     crash_and_recover,
@@ -38,43 +33,55 @@ class TestRunDeterminism:
         graph, _ = build_lhg(30, 3)
         source = graph.nodes()[0]
         schedule = random_crashes(graph, 2, seed=5, protect={source})
-        a = run_flood(graph, source, failures=schedule)
-        b = run_flood(graph, source, failures=schedule)
+        spec = ExperimentSpec("flood", graph, source, failures=schedule)
+        a = run_experiment(spec).result
+        b = run_experiment(spec).result
         assert identical_results(a, b)
 
     def test_flood_with_random_latency_repeatable(self):
         graph, _ = build_lhg(30, 3)
         source = graph.nodes()[0]
-        a = run_flood(graph, source, latency=UniformLatency(0.5, 1.5, seed=9))
-        b = run_flood(graph, source, latency=UniformLatency(0.5, 1.5, seed=9))
+        a = run_experiment(ExperimentSpec(
+            "flood", graph, source, latency=UniformLatency(0.5, 1.5, seed=9),
+        )).result
+        b = run_experiment(ExperimentSpec(
+            "flood", graph, source, latency=UniformLatency(0.5, 1.5, seed=9),
+        )).result
         assert identical_results(a, b)
 
     def test_gossip_repeatable(self):
         graph, _ = build_lhg(24, 3)
         source = graph.nodes()[0]
-        a = run_gossip(graph, source, fanout=2, rounds=8, seed=3)
-        b = run_gossip(graph, source, fanout=2, rounds=8, seed=3)
+        spec = ExperimentSpec(
+            "gossip", graph, source, seed=3, params={"fanout": 2, "rounds": 8}
+        )
+        a = run_experiment(spec).result
+        b = run_experiment(spec).result
         assert identical_results(a, b)
 
     def test_treecast_repeatable_under_loss(self):
         graph, _ = build_lhg(24, 3)
         source = graph.nodes()[0]
-        a = run_treecast(graph, source, loss_rate=0.2, loss_seed=4)
-        b = run_treecast(graph, source, loss_rate=0.2, loss_seed=4)
+        spec = ExperimentSpec("treecast", graph, source, loss_rate=0.2, loss_seed=4)
+        a = run_experiment(spec).result
+        b = run_experiment(spec).result
         assert identical_results(a, b)
 
     def test_detection_repeatable(self):
         graph, _ = build_lhg(20, 3)
         victim = graph.nodes()[2]
-        kwargs = dict(
-            period=1.0,
-            timeout=2.5,
-            latency=ExponentialLatency(0.1, 1.0, seed=7),
-        )
-        a = run_failure_detection(graph, [victim], 10.0, **kwargs)
+        params = {
+            "crashed": (victim,), "crash_time": 10.0, "period": 1.0, "timeout": 2.5,
+        }
+        a = run_experiment(ExperimentSpec(
+            "failure-detection", graph,
+            latency=ExponentialLatency(0.1, 1.0, seed=7), params=params,
+        )).metric("report")
         # fresh latency model with the same seed for a fair replay
-        kwargs["latency"] = ExponentialLatency(0.1, 1.0, seed=7)
-        b = run_failure_detection(graph, [victim], 10.0, **kwargs)
+        b = run_experiment(ExperimentSpec(
+            "failure-detection", graph,
+            latency=ExponentialLatency(0.1, 1.0, seed=7), params=params,
+        )).metric("report")
         assert a.detection_delays == b.detection_delays
         assert a.false_suspicions == b.false_suspicions
 
@@ -187,8 +194,12 @@ class TestSeedSensitivity:
     def test_different_latency_seeds_differ(self):
         graph, _ = build_lhg(30, 3)
         source = graph.nodes()[0]
-        a = run_flood(graph, source, latency=UniformLatency(0.5, 1.5, seed=1))
-        b = run_flood(graph, source, latency=UniformLatency(0.5, 1.5, seed=2))
+        a = run_experiment(ExperimentSpec(
+            "flood", graph, source, latency=UniformLatency(0.5, 1.5, seed=1),
+        )).result
+        b = run_experiment(ExperimentSpec(
+            "flood", graph, source, latency=UniformLatency(0.5, 1.5, seed=2),
+        )).result
         assert a.delivery_times != b.delivery_times
 
     def test_different_failure_seeds_differ(self):

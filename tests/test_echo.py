@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.existence import build_lhg
 from repro.errors import ProtocolError, SimulationError
-from repro.flooding.experiments import run_echo
+from repro.flooding.experiments import ExperimentSpec, run_experiment
 from repro.flooding.failures import FailureSchedule, crash_before_start
 from repro.graphs.generators.classic import cycle_graph, path_graph, star_graph
 from repro.graphs.traversal import eccentricity
@@ -13,44 +13,46 @@ from repro.graphs.traversal import eccentricity
 class TestHappyPath:
     def test_counts_all_nodes(self):
         graph, _ = build_lhg(22, 3)
-        protocol = run_echo(graph, graph.nodes()[0])
-        assert protocol.completed
-        assert protocol.aggregate == 22
+        run = run_experiment(ExperimentSpec("echo", graph, graph.nodes()[0]))
+        assert run.metric("completed")
+        assert run.metric("aggregate") == 22
 
     def test_completion_near_twice_eccentricity(self):
         graph, _ = build_lhg(46, 3)
         source = graph.nodes()[0]
-        protocol = run_echo(graph, source)
+        run = run_experiment(ExperimentSpec("echo", graph, source))
         ecc = eccentricity(graph, source)
-        assert 2 * ecc <= protocol.completed_at <= 2 * ecc + 4
+        assert 2 * ecc <= run.metric("completed_at") <= 2 * ecc + 4
 
     def test_custom_aggregate_max(self):
         g = cycle_graph(7)
-        protocol = run_echo(
-            g, 0, value_of=lambda node: node, combine=max
-        )
-        assert protocol.completed
-        assert protocol.aggregate == 6
+        run = run_experiment(ExperimentSpec(
+            "echo", g, 0, params={"value_of": lambda node: node, "combine": max}
+        ))
+        assert run.metric("completed")
+        assert run.metric("aggregate") == 6
 
     def test_sum_of_values(self):
         g = star_graph(4)
-        protocol = run_echo(g, 0, value_of=lambda node: 10)
-        assert protocol.aggregate == 50  # 5 nodes x 10
+        run = run_experiment(
+            ExperimentSpec("echo", g, 0, params={"value_of": lambda node: 10})
+        )
+        assert run.metric("aggregate") == 50  # 5 nodes x 10
 
     def test_parent_tree_spans_graph(self):
         graph, _ = build_lhg(14, 3)
         source = graph.nodes()[0]
-        protocol = run_echo(graph, source)
-        assert protocol.covered() == set(graph.nodes())
-        assert protocol.parent[source] is None
-        roots = [v for v, p in protocol.parent.items() if p is None]
+        parent = run_experiment(ExperimentSpec("echo", graph, source)).metric("parent")
+        assert set(parent) == set(graph.nodes())
+        assert parent[source] is None
+        roots = [v for v, p in parent.items() if p is None]
         assert roots == [source]
 
     def test_single_edge_graph(self):
         g = path_graph(2)
-        protocol = run_echo(g, 0)
-        assert protocol.completed
-        assert protocol.aggregate == 2
+        run = run_experiment(ExperimentSpec("echo", g, 0))
+        assert run.metric("completed")
+        assert run.metric("aggregate") == 2
 
 
 class TestUnderFailures:
@@ -58,34 +60,38 @@ class TestUnderFailures:
         graph, _ = build_lhg(22, 3)
         source = graph.nodes()[0]
         victim = graph.nodes()[5]
-        protocol = run_echo(
-            graph, source, failures=crash_before_start([victim])
-        )
-        assert not protocol.completed
-        assert protocol.echoes_pending()  # someone waits on the dead node
+        run = run_experiment(ExperimentSpec(
+            "echo", graph, source, failures=crash_before_start([victim])
+        ))
+        assert not run.metric("completed")
+        assert run.metric("pending")  # someone waits on the dead node
 
     def test_wave_still_covers_survivors(self):
         graph, _ = build_lhg(22, 3)
         source = graph.nodes()[0]
         victim = graph.nodes()[5]
-        protocol = run_echo(
-            graph, source, failures=crash_before_start([victim])
-        )
+        run = run_experiment(ExperimentSpec(
+            "echo", graph, source, failures=crash_before_start([victim])
+        ))
         # k-connectivity: the wave reaches every survivor even though
         # the echo cannot complete
-        assert protocol.covered() >= set(graph.nodes()) - {victim}
+        assert set(run.metric("parent")) >= set(graph.nodes()) - {victim}
 
     def test_crashed_source_rejected(self):
         g = cycle_graph(5)
         with pytest.raises(SimulationError):
-            run_echo(g, 0, failures=crash_before_start([0]))
+            run_experiment(
+                ExperimentSpec("echo", g, 0, failures=crash_before_start([0]))
+            )
 
     def test_late_crash_after_completion_harmless(self):
         graph, _ = build_lhg(14, 3)
         source = graph.nodes()[0]
         schedule = FailureSchedule().crash(graph.nodes()[3], time=1000.0)
-        protocol = run_echo(graph, source, failures=schedule)
-        assert protocol.completed
+        run = run_experiment(
+            ExperimentSpec("echo", graph, source, failures=schedule)
+        )
+        assert run.metric("completed")
 
 
 class TestProtocolContract:

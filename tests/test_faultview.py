@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import repro.obs as obs
 from repro.core.jenkins_demers import jd_feasibility
 from repro.errors import GraphError, NodeNotFoundError, SimulationError
-from repro.flooding.experiments import run_flood
+from repro.flooding.experiments import ExperimentSpec, run_experiment
 from repro.flooding.failures import FailureSchedule, survivors
 from repro.flooding.rounds import round_flood
 from repro.graphs import (
@@ -291,10 +291,11 @@ class TestSurvivorsLaziness:
         csr = CSRGraph.from_oracle(ImplicitJDOracle(22, 3))
         assert isinstance(survivors(csr, FailureSchedule().crash(0)), FaultView)
 
-    def test_graph_input_still_returns_graph(self):
+    def test_graph_input_returns_fault_view(self):
         graph = materialize(ImplicitJDOracle(10, 3))
         result = survivors(graph, FailureSchedule().crash(3))
-        assert isinstance(result, Graph)
+        assert isinstance(result, FaultView)
+        assert result.base is graph
         assert not result.has_node(3)
 
     def test_no_graph_materialised_for_oracle_input(self, monkeypatch):
@@ -324,15 +325,14 @@ class TestCensusParityWithMaterialisedSurvivors:
     @pytest.mark.parametrize("n,k", CENSUS)
     def test_structure_matches(self, n, k):
         oracle = ImplicitJDOracle(n, k)
-        schedule = (
-            FailureSchedule()
-            .crash(n - 1)
-            .fail_link(0, oracle.neighbors(0)[0])
-        )
+        partner = oracle.neighbors(0)[0]
+        schedule = FailureSchedule().crash(n - 1).fail_link(0, partner)
         view = survivors(oracle, schedule)
-        expected = survivors(materialize(oracle), schedule)
+        # the reference: the same cut as a dict Graph copy
+        expected = materialize(oracle).without_nodes([n - 1])
+        if expected.has_edge(0, partner):
+            expected.remove_edge(0, partner)
         assert isinstance(view, FaultView)
-        assert isinstance(expected, Graph)
         assert sorted(view.nodes()) == sorted(expected.nodes())
         assert view.number_of_edges() == expected.number_of_edges()
         for node in expected.nodes():
@@ -346,7 +346,7 @@ class TestCensusParityWithMaterialisedSurvivors:
         oracle = ImplicitJDOracle(n, k)
         schedule = FailureSchedule().crash(n // 2)
         view = survivors(oracle, schedule)
-        expected = survivors(materialize(oracle), schedule)
+        expected = materialize(oracle).without_nodes([n // 2])
         source = next(iter(view.iter_nodes()))
         assert bfs_levels(view, source) == bfs_levels(expected, source)
         if is_connected(expected):
@@ -367,7 +367,9 @@ class TestRoundFloodUnderFailures:
         graph = materialize(oracle)
         for schedule in _pinned_schedules(n, k):
             rounds = round_flood(oracle, 0, schedule=schedule)
-            event = run_flood(graph, 0, failures=schedule)
+            event = run_experiment(
+                ExperimentSpec("flood", graph, 0, failures=schedule)
+            ).result
             label = (n, k, schedule)
             assert rounds.covered == event.covered, label
             assert rounds.messages == event.messages, label
@@ -387,7 +389,9 @@ class TestRoundFloodUnderFailures:
         graph = materialize(ImplicitJDOracle(n, k))
         schedule = FailureSchedule().crash(5, time=1.0).fail_link(0, 1)
         rounds = round_flood(oracle, 0, schedule=schedule)
-        event = run_flood(graph, 0, failures=schedule)
+        event = run_experiment(
+            ExperimentSpec("flood", graph, 0, failures=schedule)
+        ).result
         assert (rounds.covered, rounds.messages, rounds.completion_time) == (
             event.covered,
             event.messages,
@@ -485,9 +489,11 @@ def _backends(n, k):
 
 
 def _assert_backends_match_event_simulator(n, k, schedule, source):
-    """round_flood on every backend equals run_flood field for field."""
+    """round_flood on every backend equals the event-driven flood field for field."""
     backends = _backends(n, k)
-    event = run_flood(backends["dict"], source, failures=schedule)
+    event = run_experiment(
+        ExperimentSpec("flood", backends["dict"], source, failures=schedule)
+    ).result
     expected = (
         event.covered,
         event.messages,

@@ -4,16 +4,12 @@ import pytest
 
 from repro.core.existence import build_lhg
 from repro.errors import ProtocolError
-from repro.flooding.experiments import run_failure_detection
+from repro.flooding.experiments import ExperimentSpec, run_experiment
 from repro.flooding.failures import FailureSchedule, apply_schedule
 from repro.flooding.network import ExponentialLatency, Network
 from repro.flooding.protocols.heartbeat import HeartbeatProtocol
 from repro.flooding.simulator import Simulator
 from repro.graphs.generators.classic import cycle_graph
-
-
-def detector_run(graph, crashed, crash_time, **kwargs):
-    return run_failure_detection(graph, crashed, crash_time, **kwargs)
 
 
 class TestParameters:
@@ -34,7 +30,10 @@ class TestDetection:
     def test_crash_detected_by_all_neighbours(self):
         graph, _ = build_lhg(14, 3)
         victim = graph.nodes()[3]
-        report = detector_run(graph, [victim], 10.0)
+        report = run_experiment(ExperimentSpec(
+            "failure-detection", graph,
+            params={"crashed": (victim,), "crash_time": 10.0},
+        )).metric("report")
         assert report.complete
         assert report.accurate
 
@@ -42,9 +41,13 @@ class TestDetection:
         graph, _ = build_lhg(14, 3)
         victim = graph.nodes()[0]
         period, timeout = 1.0, 3.5
-        report = detector_run(
-            graph, [victim], 10.0, period=period, timeout=timeout
-        )
+        report = run_experiment(ExperimentSpec(
+            "failure-detection", graph,
+            params={
+                "crashed": (victim,), "crash_time": 10.0, "period": period,
+                "timeout": timeout,
+            },
+        )).metric("report")
         assert report.worst_detection_delay is not None
         # delay <= timeout + check period + last heartbeat's flight time
         assert report.worst_detection_delay <= timeout + 2 * period + 1.0
@@ -53,47 +56,54 @@ class TestDetection:
     def test_multiple_crashes_all_detected(self):
         graph, _ = build_lhg(20, 4)
         victims = graph.nodes()[2:5]
-        report = detector_run(graph, victims, 8.0)
+        report = run_experiment(ExperimentSpec(
+            "failure-detection", graph,
+            params={"crashed": tuple(victims), "crash_time": 8.0},
+        )).metric("report")
         assert report.complete
         assert report.accurate
 
     def test_no_crash_no_suspicion_under_constant_latency(self):
         graph, _ = build_lhg(14, 3)
-        report = detector_run(graph, [], 0.0)
+        report = run_experiment(ExperimentSpec(
+            "failure-detection", graph, params={"crashed": (), "crash_time": 0.0},
+        )).metric("report")
         assert report.accurate
         assert report.detection_delays == ()
 
     def test_shorter_timeout_detects_faster(self):
         graph, _ = build_lhg(14, 3)
         victim = graph.nodes()[1]
-        fast = detector_run(graph, [victim], 10.0, period=0.5, timeout=1.2)
-        slow = detector_run(graph, [victim], 10.0, period=1.0, timeout=6.0)
+        fast = run_experiment(ExperimentSpec(
+            "failure-detection", graph,
+            params={
+                "crashed": (victim,), "crash_time": 10.0, "period": 0.5, "timeout": 1.2,
+            },
+        )).metric("report")
+        slow = run_experiment(ExperimentSpec(
+            "failure-detection", graph,
+            params={
+                "crashed": (victim,), "crash_time": 10.0, "period": 1.0, "timeout": 6.0,
+            },
+        )).metric("report")
         assert fast.worst_detection_delay < slow.worst_detection_delay
 
 
 class TestAccuracyTradeoff:
     def test_tight_timeout_with_heavy_tail_latency_false_suspects(self):
         graph, _ = build_lhg(20, 3)
-        report = run_failure_detection(
-            graph,
-            [],
-            0.0,
-            period=1.0,
-            timeout=2.2,
-            latency=ExponentialLatency(0.1, 1.5, seed=4),
-        )
+        report = run_experiment(ExperimentSpec(
+            "failure-detection", graph, latency=ExponentialLatency(0.1, 1.5, seed=4),
+            params={"crashed": (), "crash_time": 0.0, "period": 1.0, "timeout": 2.2},
+        )).metric("report")
         assert report.false_suspicions > 0  # eventually-perfect, not perfect
 
     def test_generous_timeout_restores_accuracy(self):
         graph, _ = build_lhg(20, 3)
-        report = run_failure_detection(
-            graph,
-            [],
-            0.0,
-            period=1.0,
-            timeout=12.0,
-            latency=ExponentialLatency(0.1, 1.5, seed=4),
-        )
+        report = run_experiment(ExperimentSpec(
+            "failure-detection", graph, latency=ExponentialLatency(0.1, 1.5, seed=4),
+            params={"crashed": (), "crash_time": 0.0, "period": 1.0, "timeout": 12.0},
+        )).metric("report")
         assert report.accurate
 
     def test_detection_robust_to_message_loss(self):
@@ -101,9 +111,12 @@ class TestAccuracyTradeoff:
         # timeout covering a few periods
         graph, _ = build_lhg(14, 3)
         victim = graph.nodes()[2]
-        report = run_failure_detection(
-            graph, [victim], 10.0, period=1.0, timeout=4.5, loss_rate=0.2
-        )
+        report = run_experiment(ExperimentSpec(
+            "failure-detection", graph, loss_rate=0.2,
+            params={
+                "crashed": (victim,), "crash_time": 10.0, "period": 1.0, "timeout": 4.5,
+            },
+        )).metric("report")
         assert report.complete
         assert report.accurate
 

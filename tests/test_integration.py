@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import build_lhg, check_lhg, run_flood
+from repro import ExperimentSpec, build_lhg, check_lhg, run_experiment
 from repro.core.certificates import ConstructionCertificate
 from repro.core.routing import tree_route
 from repro.flooding import random_crashes, repeat_runs
@@ -18,9 +18,7 @@ class TestBuildVerifyFloodPipeline:
         assert report.is_lhg
         source = graph.nodes()[0]
         agg = repeat_runs(
-            run_flood,
-            graph,
-            source,
+            ExperimentSpec("flood", graph, source),
             lambda seed: random_crashes(graph, 2, seed=seed, protect={source}),
             10,
         )
@@ -60,7 +58,9 @@ class TestOverlayToFloodingPipeline:
         source = overlay.members[0]
         for seed in range(5):
             schedule = random_crashes(topology, 2, seed=seed, protect={source})
-            result = run_flood(topology, source, failures=schedule)
+            result = run_experiment(
+                ExperimentSpec("flood", topology, source, failures=schedule)
+            ).result
             assert result.fully_covered
 
     def test_overlay_growth_spans_rules(self):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.existence import build_lhg
 from repro.errors import SimulationError
-from repro.flooding.experiments import repeat_runs, run_flood, run_treecast
+from repro.flooding.experiments import ExperimentSpec, repeat_runs, run_experiment
 from repro.flooding.network import Network
 from repro.flooding.simulator import Simulator
 from repro.graphs.generators.classic import cycle_graph, path_graph
@@ -20,8 +20,8 @@ class TestLossParameters:
 
     def test_zero_loss_is_default_behaviour(self):
         g = cycle_graph(8)
-        lossless = run_flood(g, 0)
-        explicit = run_flood(g, 0, loss_rate=0.0)
+        lossless = run_experiment(ExperimentSpec("flood", g, 0)).result
+        explicit = run_experiment(ExperimentSpec("flood", g, 0, loss_rate=0.0)).result
         assert lossless.covered == explicit.covered == 8
         assert lossless.messages == explicit.messages
 
@@ -52,8 +52,9 @@ class TestLossAccounting:
     def test_deterministic_in_loss_seed(self):
         graph, _ = build_lhg(30, 3)
         source = graph.nodes()[0]
-        a = run_flood(graph, source, loss_rate=0.3, loss_seed=7)
-        b = run_flood(graph, source, loss_rate=0.3, loss_seed=7)
+        spec = ExperimentSpec("flood", graph, source, loss_rate=0.3, loss_seed=7)
+        a = run_experiment(spec).result
+        b = run_experiment(spec).result
         assert a.covered == b.covered
         assert a.messages == b.messages
 
@@ -63,7 +64,7 @@ class TestLossResilience:
         graph, _ = build_lhg(40, 4)
         source = graph.nodes()[0]
         agg = repeat_runs(
-            run_flood, graph, source, None, 10, loss_rate=0.1
+            ExperimentSpec("flood", graph, source, loss_rate=0.1), None, 10
         )
         # k parallel copies per node: 10% loss almost never severs all
         assert agg.mean_delivery_ratio() > 0.97
@@ -71,13 +72,21 @@ class TestLossResilience:
     def test_treecast_collapses_under_same_loss(self):
         graph, _ = build_lhg(40, 4)
         source = graph.nodes()[0]
-        flood = repeat_runs(run_flood, graph, source, None, 10, loss_rate=0.15)
-        tree = repeat_runs(run_treecast, graph, source, None, 10, loss_rate=0.15)
+        flood = repeat_runs(
+            ExperimentSpec("flood", graph, source, loss_rate=0.15), None, 10
+        )
+        tree = repeat_runs(
+            ExperimentSpec("treecast", graph, source, loss_rate=0.15), None, 10
+        )
         assert flood.mean_delivery_ratio() > tree.mean_delivery_ratio() + 0.2
 
     def test_loss_reduces_coverage_monotonically_on_average(self):
         graph, _ = build_lhg(30, 3)
         source = graph.nodes()[0]
-        low = repeat_runs(run_flood, graph, source, None, 15, loss_rate=0.05)
-        high = repeat_runs(run_flood, graph, source, None, 15, loss_rate=0.5)
+        low = repeat_runs(
+            ExperimentSpec("flood", graph, source, loss_rate=0.05), None, 15
+        )
+        high = repeat_runs(
+            ExperimentSpec("flood", graph, source, loss_rate=0.5), None, 15
+        )
         assert high.mean_delivery_ratio() < low.mean_delivery_ratio()

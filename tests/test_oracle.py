@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.jenkins_demers import jd_feasibility, jenkins_demers_graph
 from repro.errors import GraphError, NodeNotFoundError
-from repro.flooding.experiments import run_flood
+from repro.flooding.experiments import ExperimentSpec, run_experiment
 from repro.flooding.rounds import round_flood
 from repro.graphs import (
     CSRGraph,
@@ -226,7 +226,7 @@ class TestRoundFlood:
     def test_parity_with_event_driven_flood(self, n, k):
         oracle = ImplicitJDOracle(n, k)
         graph = materialize(oracle)
-        event = run_flood(graph, 0)
+        event = run_experiment(ExperimentSpec("flood", graph, 0)).result
         for backend in (oracle, CSRGraph.from_oracle(oracle), graph):
             rounds = round_flood(backend, 0)
             assert rounds.covered == event.covered == n

@@ -174,19 +174,19 @@ class TestFloodingClaims:
     """Flooding latency tracks the diameter; message cost tracks edges."""
 
     def test_flood_time_equals_source_eccentricity(self):
-        from repro.flooding.experiments import run_flood
+        from repro.flooding.experiments import ExperimentSpec, run_experiment
         from repro.graphs.traversal import eccentricity
 
         graph, _ = build_lhg(46, 3)
         for source in graph.nodes()[:5]:
-            result = run_flood(graph, source)
+            result = run_experiment(ExperimentSpec("flood", graph, source)).result
             assert result.completion_time == float(eccentricity(graph, source))
 
     def test_flood_messages_near_2m(self):
-        from repro.flooding.experiments import run_flood
+        from repro.flooding.experiments import ExperimentSpec, run_experiment
 
         graph, _ = build_lhg(30, 3)
-        result = run_flood(graph, graph.nodes()[0])
+        result = run_experiment(ExperimentSpec("flood", graph, graph.nodes()[0])).result
         m = graph.number_of_edges()
         # every node forwards to deg-1 neighbours (source: deg):
         # total = 2m - (n - 1)

@@ -256,17 +256,17 @@ class TestEchoInvariants:
     @settings(max_examples=15, deadline=None)
     @given(pair)
     def test_echo_counts_exactly_n_and_tree_spans(self, nk):
-        from repro.flooding.experiments import run_echo
+        from repro.flooding.experiments import ExperimentSpec, run_experiment
 
         n, k = nk
         graph, _ = build_lhg(n, k)
         source = graph.nodes()[0]
-        protocol = run_echo(graph, source)
-        assert protocol.completed
-        assert protocol.aggregate == n
+        run = run_experiment(ExperimentSpec("echo", graph, source))
+        assert run.metric("completed")
+        assert run.metric("aggregate") == n
         # the implicit parent tree spans the graph with valid edges
-        assert protocol.covered() == set(graph.nodes())
-        for child, parent in protocol.parent.items():
+        assert set(run.metric("parent")) == set(graph.nodes())
+        for child, parent in run.metric("parent").items():
             if parent is not None:
                 assert graph.has_edge(child, parent)
 
@@ -275,16 +275,17 @@ class TestEchoInvariants:
     def test_echo_sum_matches_direct_computation(self, nk, seed):
         import random as random_module
 
-        from repro.flooding.experiments import run_echo
+        from repro.flooding.experiments import ExperimentSpec, run_experiment
 
         n, k = nk
         graph, _ = build_lhg(n, k)
         rng = random_module.Random(seed)
         weights = {node: rng.randint(0, 100) for node in graph.nodes()}
-        protocol = run_echo(
-            graph, graph.nodes()[0], value_of=lambda node: weights[node]
-        )
-        assert protocol.aggregate == sum(weights.values())
+        run = run_experiment(ExperimentSpec(
+            "echo", graph, graph.nodes()[0],
+            params={"value_of": lambda node: weights[node]},
+        ))
+        assert run.metric("aggregate") == sum(weights.values())
 
 
 class TestPlannerInvariants:
@@ -309,14 +310,16 @@ class TestFloodingInvariant:
     @settings(max_examples=12, deadline=None)
     @given(pair, st.integers(0, 10))
     def test_flood_covers_exactly_bfs_reachability(self, nk, seed):
-        from repro.flooding.experiments import run_flood
+        from repro.flooding.experiments import ExperimentSpec, run_experiment
         from repro.flooding.failures import random_crashes, survivors
 
         n, k = nk
         graph, _ = build_lhg(n, k)
         source = graph.nodes()[0]
         schedule = random_crashes(graph, min(k, n - 2 * k + 1) % k, seed=seed, protect={source})
-        result = run_flood(graph, source, failures=schedule)
+        result = run_experiment(
+            ExperimentSpec("flood", graph, source, failures=schedule)
+        ).result
         remaining = survivors(graph, schedule)
         expected = set(bfs_levels(remaining, source))
         assert result.covered == len(expected)

@@ -75,7 +75,7 @@ class TestExports:
 
 class TestReadmeQuickstart:
     def test_quickstart_snippet_verbatim(self):
-        from repro import build_lhg, check_lhg, run_flood
+        from repro import ExperimentSpec, build_lhg, check_lhg, run_experiment
 
         graph, certificate = build_lhg(n=100, k=4)
         report = check_lhg(graph, k=4)
@@ -85,7 +85,8 @@ class TestReadmeQuickstart:
 
         source = graph.nodes()[0]
         crashes = random_crashes(graph, 3, seed=1, protect={source})
-        result = run_flood(graph, source, failures=crashes)
+        spec = ExperimentSpec("flood", graph, source, failures=crashes)
+        result = run_experiment(spec).result
         assert result.fully_covered
         assert result.completion_time is not None
         assert result.messages > 0

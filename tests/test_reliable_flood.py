@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.existence import build_lhg
 from repro.errors import ProtocolError
-from repro.flooding.experiments import repeat_runs, run_flood, run_reliable_flood
+from repro.flooding.experiments import ExperimentSpec, repeat_runs, run_experiment
 from repro.flooding.failures import crash_before_start
 from repro.flooding.network import Network
 from repro.flooding.protocols.reliable import ReliableFloodProtocol
@@ -26,9 +26,9 @@ class TestLosslessBehaviour:
     def test_coverage_and_message_shape(self):
         graph, _ = build_lhg(20, 3)
         source = graph.nodes()[0]
-        result = run_reliable_flood(graph, source)
+        result = run_experiment(ExperimentSpec("reliable-flood", graph, source)).result
         assert result.fully_covered
-        plain = run_flood(graph, source)
+        plain = run_experiment(ExperimentSpec("flood", graph, source)).result
         # data copies match plain flooding; ACKs double the bill
         assert result.messages == 2 * plain.messages
 
@@ -48,17 +48,19 @@ class TestLossyBehaviour:
         graph, _ = build_lhg(30, 3)
         source = graph.nodes()[0]
         for seed in range(5):
-            result = run_reliable_flood(
-                graph, source, loss_rate=0.4, loss_seed=seed
-            )
+            result = run_experiment(ExperimentSpec(
+                "reliable-flood", graph, source, loss_rate=0.4, loss_seed=seed,
+            )).result
             assert result.fully_covered, seed
 
     def test_beats_plain_flooding_at_same_loss(self):
         graph, _ = build_lhg(30, 3)
         source = graph.nodes()[0]
-        plain = repeat_runs(run_flood, graph, source, None, 10, loss_rate=0.45)
+        plain = repeat_runs(
+            ExperimentSpec("flood", graph, source, loss_rate=0.45), None, 10
+        )
         reliable = repeat_runs(
-            run_reliable_flood, graph, source, None, 10, loss_rate=0.45
+            ExperimentSpec("reliable-flood", graph, source, loss_rate=0.45), None, 10
         )
         assert reliable.mean_delivery_ratio() > plain.mean_delivery_ratio()
         assert reliable.mean_delivery_ratio() == 1.0
@@ -66,17 +68,22 @@ class TestLossyBehaviour:
     def test_overhead_grows_with_loss(self):
         graph, _ = build_lhg(30, 3)
         source = graph.nodes()[0]
-        low = run_reliable_flood(graph, source, loss_rate=0.1, loss_seed=3)
-        high = run_reliable_flood(graph, source, loss_rate=0.5, loss_seed=3)
+        low = run_experiment(
+            ExperimentSpec("reliable-flood", graph, source, loss_rate=0.1, loss_seed=3)
+        ).result
+        high = run_experiment(
+            ExperimentSpec("reliable-flood", graph, source, loss_rate=0.5, loss_seed=3)
+        ).result
         assert high.messages > low.messages
 
     def test_retry_budget_exhaustion_gives_up(self):
         # max_retries=0 at extreme loss behaves like plain flooding
         graph, _ = build_lhg(20, 3)
         source = graph.nodes()[0]
-        result = run_reliable_flood(
-            graph, source, loss_rate=0.9, loss_seed=2, max_retries=0
-        )
+        result = run_experiment(ExperimentSpec(
+            "reliable-flood", graph, source, loss_rate=0.9, loss_seed=2,
+            params={"max_retries": 0},
+        )).result
         assert result.covered < result.n
 
 
@@ -85,12 +92,9 @@ class TestWithCrashes:
         graph, _ = build_lhg(20, 3)
         source = graph.nodes()[0]
         victims = [graph.nodes()[4], graph.nodes()[7]]
-        result = run_reliable_flood(
-            graph,
-            source,
-            failures=crash_before_start(victims),
-            loss_rate=0.3,
-            loss_seed=1,
-        )
+        result = run_experiment(ExperimentSpec(
+            "reliable-flood", graph, source, failures=crash_before_start(victims),
+            loss_rate=0.3, loss_seed=1,
+        )).result
         # k-1 crashes + 30% loss: reliability machinery still covers all
         assert result.fully_covered

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.existence import build_lhg
 from repro.core.properties import theoretical_diameter_bound
-from repro.flooding.experiments import run_flood
+from repro.flooding.experiments import ExperimentSpec, run_experiment
 from repro.graphs.connectivity import local_node_connectivity
 from repro.graphs.minimality import has_degree_witness_minimality
 from repro.graphs.traversal import approximate_diameter
@@ -51,7 +51,7 @@ class TestScale:
     def test_flood_at_scale(self):
         graph, _ = build_lhg(4000, 4)
         source = graph.nodes()[0]
-        result = run_flood(graph, source)
+        result = run_experiment(ExperimentSpec("flood", graph, source)).result
         assert result.fully_covered
         assert result.completion_time <= 14  # ~log_3(4000) * 2
 

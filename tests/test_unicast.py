@@ -5,7 +5,7 @@ import pytest
 from repro.core.existence import build_lhg
 from repro.core.routing import menger_witness, tree_route
 from repro.errors import ProtocolError
-from repro.flooding.experiments import run_redundant_unicast, run_unicast
+from repro.flooding.experiments import ExperimentSpec, run_experiment
 from repro.flooding.failures import crash_before_start, random_crashes
 from repro.flooding.network import Network
 from repro.flooding.protocols.unicast import (
@@ -30,31 +30,34 @@ class TestRoutedMessage:
 class TestSourceRouted:
     def test_delivery_along_path(self):
         g = path_graph(5)
-        delivered_at, hops = run_unicast(g, [0, 1, 2, 3, 4])
-        assert delivered_at == 4.0
-        assert hops == 4
+        run = run_experiment(
+            ExperimentSpec("unicast", g, params={"path": [0, 1, 2, 3, 4]})
+        )
+        assert run.metric("delivered_at") == 4.0
+        assert run.metric("hops") == 4
 
     def test_self_delivery(self):
         g = path_graph(2)
-        delivered_at, hops = run_unicast(g, [0])
-        assert delivered_at == 0.0
-        assert hops == 0
+        run = run_experiment(ExperimentSpec("unicast", g, params={"path": [0]}))
+        assert run.metric("delivered_at") == 0.0
+        assert run.metric("hops") == 0
 
     def test_crash_on_path_kills_delivery(self):
         g = path_graph(5)
-        delivered_at, hops = run_unicast(
-            g, [0, 1, 2, 3, 4], failures=crash_before_start([2])
-        )
-        assert delivered_at is None
-        assert hops < 4
+        run = run_experiment(ExperimentSpec(
+            "unicast", g, failures=crash_before_start([2]),
+            params={"path": [0, 1, 2, 3, 4]},
+        ))
+        assert run.metric("delivered_at") is None
+        assert run.metric("hops") < 4
 
     def test_certificate_route_delivers(self):
         graph, cert = build_lhg(22, 3)
         nodes = graph.nodes()
         path = tree_route(cert, nodes[0], nodes[-1])
-        delivered_at, hops = run_unicast(graph, path)
-        assert delivered_at == float(len(path) - 1)
-        assert hops == len(path) - 1
+        run = run_experiment(ExperimentSpec("unicast", graph, params={"path": path}))
+        assert run.metric("delivered_at") == float(len(path) - 1)
+        assert run.metric("hops") == len(path) - 1
 
     def test_empty_path_rejected(self):
         sim = Simulator()
@@ -75,11 +78,11 @@ class TestRedundant:
             schedule = random_crashes(
                 graph, 3, seed=seed, protect={s, t}
             )
-            delivered_at, copies, _ = run_redundant_unicast(
-                graph, paths, failures=schedule
-            )
-            assert delivered_at is not None, seed
-            assert copies >= 1
+            run = run_experiment(ExperimentSpec(
+                "redundant-unicast", graph, failures=schedule, params={"paths": paths}
+            ))
+            assert run.metric("delivered_at") is not None, seed
+            assert run.metric("copies") >= 1
 
     def test_single_path_fails_where_redundant_succeeds(self):
         graph, cert = build_lhg(20, 4)
@@ -89,18 +92,24 @@ class TestRedundant:
         long_paths = [p for p in paths if len(p) > 2]
         victim_path = long_paths[0]
         schedule = crash_before_start([victim_path[1]])
-        single, _ = run_unicast(graph, victim_path, failures=schedule)
-        redundant, _, _ = run_redundant_unicast(graph, paths, failures=schedule)
-        assert single is None
-        assert redundant is not None
+        single = run_experiment(ExperimentSpec(
+            "unicast", graph, failures=schedule, params={"path": victim_path}
+        ))
+        redundant = run_experiment(ExperimentSpec(
+            "redundant-unicast", graph, failures=schedule, params={"paths": paths}
+        ))
+        assert single.metric("delivered_at") is None
+        assert redundant.metric("delivered_at") is not None
 
     def test_message_cost_is_sum_of_path_lengths(self):
         graph, cert = build_lhg(14, 3)
         nodes = graph.nodes()
         paths = menger_witness(graph, cert, nodes[0], nodes[-1])
-        _, copies, messages = run_redundant_unicast(graph, paths)
-        assert copies == len([p for p in paths if len(p) > 1])
-        assert messages == sum(len(p) - 1 for p in paths)
+        run = run_experiment(
+            ExperimentSpec("redundant-unicast", graph, params={"paths": paths})
+        )
+        assert run.metric("copies") == len([p for p in paths if len(p) > 1])
+        assert run.metric("messages") == sum(len(p) - 1 for p in paths)
 
     def test_mismatched_endpoints_rejected(self):
         sim = Simulator()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.existence import build_lhg
 from repro.errors import ProtocolError, SimulationError
-from repro.flooding.experiments import run_view_change
+from repro.flooding.experiments import ExperimentSpec, run_experiment
 from repro.flooding.network import Network
 from repro.flooding.protocols.viewchange import ViewChangeProtocol
 from repro.flooding.simulator import Simulator
@@ -28,7 +28,10 @@ class TestParameters:
         graph, _ = build_lhg(12, 3)
         coordinator = graph.nodes()[0]
         with pytest.raises(SimulationError):
-            run_view_change(graph, coordinator, [coordinator], 10.0)
+            run_experiment(ExperimentSpec(
+                "view-change", graph, coordinator,
+                params={"crashed": (coordinator,), "crash_time": 10.0},
+            ))
 
 
 class TestConvergence:
@@ -36,7 +39,10 @@ class TestConvergence:
         graph, _ = build_lhg(20, 3)
         coordinator = graph.nodes()[0]
         victim = graph.nodes()[7]
-        report = run_view_change(graph, coordinator, [victim], 10.0)
+        report = run_experiment(ExperimentSpec(
+            "view-change", graph, coordinator,
+            params={"crashed": (victim,), "crash_time": 10.0},
+        )).metric("report")
         assert report.converged
         assert report.correct_membership
         assert report.adopters == report.survivors == 19
@@ -45,14 +51,20 @@ class TestConvergence:
         graph, _ = build_lhg(24, 4)
         coordinator = graph.nodes()[0]
         victims = graph.nodes()[5:8]  # 3 = k-1 simultaneous crashes
-        report = run_view_change(graph, coordinator, victims, 10.0)
+        report = run_experiment(ExperimentSpec(
+            "view-change", graph, coordinator,
+            params={"crashed": tuple(victims), "crash_time": 10.0},
+        )).metric("report")
         assert report.converged
         assert report.survivors == 21
 
     def test_no_crash_no_view_change(self):
         graph, _ = build_lhg(14, 3)
         coordinator = graph.nodes()[0]
-        report = run_view_change(graph, coordinator, [], 10.0)
+        report = run_experiment(ExperimentSpec(
+            "view-change", graph, coordinator,
+            params={"crashed": (), "crash_time": 10.0},
+        )).metric("report")
         assert report.decided_at is None
         assert report.adopters == 0
 
@@ -61,9 +73,12 @@ class TestConvergence:
         graph, _ = build_lhg(22, 3)
         coordinator = graph.nodes()[0]
         victims = [graph.nodes()[4], graph.nodes()[9]]
-        report = run_view_change(
-            graph, coordinator, victims, 10.0, decision_delay=4.0
-        )
+        report = run_experiment(ExperimentSpec(
+            "view-change", graph, coordinator,
+            params={
+                "crashed": tuple(victims), "crash_time": 10.0, "decision_delay": 4.0,
+            },
+        )).metric("report")
         assert report.converged  # membership excludes BOTH victims
 
     def test_latency_ordering(self):
@@ -72,9 +87,10 @@ class TestConvergence:
         graph, _ = build_lhg(20, 3)
         coordinator = graph.nodes()[0]
         victim = graph.nodes()[5]
-        report = run_view_change(
-            graph, coordinator, [victim], 10.0, timeout=3.0
-        )
+        report = run_experiment(ExperimentSpec(
+            "view-change", graph, coordinator,
+            params={"crashed": (victim,), "crash_time": 10.0, "timeout": 3.0},
+        )).metric("report")
         assert report.decided_at > 10.0 + 3.0
         assert report.last_adoption >= report.decided_at
 
@@ -82,12 +98,18 @@ class TestConvergence:
         graph, _ = build_lhg(20, 3)
         coordinator = graph.nodes()[0]
         victim = graph.nodes()[5]
-        fast = run_view_change(
-            graph, coordinator, [victim], 10.0, period=0.5, timeout=1.5
-        )
-        slow = run_view_change(
-            graph, coordinator, [victim], 10.0, period=1.0, timeout=6.0
-        )
+        fast = run_experiment(ExperimentSpec(
+            "view-change", graph, coordinator,
+            params={
+                "crashed": (victim,), "crash_time": 10.0, "period": 0.5, "timeout": 1.5,
+            },
+        )).metric("report")
+        slow = run_experiment(ExperimentSpec(
+            "view-change", graph, coordinator,
+            params={
+                "crashed": (victim,), "crash_time": 10.0, "period": 1.0, "timeout": 6.0,
+            },
+        )).metric("report")
         assert fast.converged and slow.converged
         assert fast.last_adoption < slow.last_adoption
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.existence import build_lhg
 from repro.errors import DisconnectedGraphError, GraphError, NodeNotFoundError
-from repro.flooding.experiments import run_flood
+from repro.flooding.experiments import ExperimentSpec, run_experiment
 from repro.flooding.network import FixedLinkLatency
 from repro.graphs.graph import Graph
 from repro.graphs.generators.classic import cycle_graph, path_graph
@@ -103,7 +103,9 @@ class TestSimulatorCrossValidation:
         graph, _ = build_lhg(n, k)
         weight = link_weights_from_seed(graph, 0.3, 2.5, seed=seed)
         source = graph.nodes()[0]
-        result = run_flood(graph, source, latency=FixedLinkLatency(weight))
+        result = run_experiment(
+            ExperimentSpec("flood", graph, source, latency=FixedLinkLatency(weight))
+        ).result
         assert result.fully_covered
         expected = weighted_eccentricity(graph, source, weight)
         assert result.completion_time == pytest.approx(expected)
@@ -112,7 +114,9 @@ class TestSimulatorCrossValidation:
         graph, _ = build_lhg(17, 3)
         weight = link_weights_from_seed(graph, 0.5, 2.0, seed=9)
         source = graph.nodes()[0]
-        result = run_flood(graph, source, latency=FixedLinkLatency(weight))
+        result = run_experiment(
+            ExperimentSpec("flood", graph, source, latency=FixedLinkLatency(weight))
+        ).result
         distances = dijkstra(graph, source, weight)
         for node, time in result.delivery_times.items():
             assert time == pytest.approx(distances[node])
