@@ -65,8 +65,9 @@ with them, ``reachable`` comes from that BFS, never from the flood
 itself.  The visited state comes from
 :func:`~repro.graphs.faultview.visited_state`: a flat ``bytearray``
 (~1 byte per node) on dense-int oracles, a set of labels otherwise.
-Each flood adds the rows it read to the ``rounds.rows`` counter of the
-active :mod:`repro.obs` collector, once per call.
+Each flood opens one ``rounds.flood`` span and adds the rows it read to
+the ``rounds.rows`` counter of the active :mod:`repro.obs` collector,
+once per call.
 """
 
 from __future__ import annotations
@@ -135,6 +136,7 @@ class RoundFloodResult:
         return float(self.rounds)
 
 
+@obs.traced("rounds.flood")
 def round_flood(
     oracle: NeighborOracle,
     source: NodeId,

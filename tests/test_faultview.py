@@ -695,3 +695,20 @@ class TestWorkCounters:
         assert counters["bfs.nodes"] == 2 * (n - 2)
         # every covered node reads its row once, doomed relays included
         assert counters["rounds.rows"] == flood.covered == n - 2
+
+    def test_compile_and_flood_record_one_span_and_fixed_counters(self):
+        n, k = 2000, 3
+        oracle = ImplicitJDOracle(n, k)
+        collector = obs.install(obs.Collector())
+        try:
+            csr = CSRGraph.from_oracle(oracle)
+            flood = round_flood(csr, 0)
+        finally:
+            obs.uninstall()
+        opened = [e["name"] for e in collector.events if e["kind"] == "span-open"]
+        assert opened == ["csr.compile", "rounds.flood"]
+        counters = collector.metrics.snapshot()["counters"]
+        # one row per node; each of the 3,003 edges sits in two rows
+        assert counters["csr.rows"] == n
+        assert counters["csr.entries"] == 6006 == 2 * oracle.number_of_edges()
+        assert counters["rounds.rows"] == flood.covered == n
